@@ -1,16 +1,13 @@
 //! Regenerates every figure, writing one file per figure under
-//! `results/` (used to populate EXPERIMENTS.md), plus two artifacts:
-//! `results/BENCH_timings.json` (`spm-bench/timings/v2`, raw per-figure
-//! wall-clock spans captured through spm-obs) and
-//! `results/BENCH_report.json` (`spm-bench/report/v7`: per-figure
-//! median/min/total across `--repeat` runs, suite-wide simulation
-//! throughput, per-decoder ingest throughput from the `spmstk01` store
-//! figure, the ingest-throughput `trajectory` carried forward from
-//! the previously committed report with this run appended, and — since
-//! v6 — the statistical-profiler summary: suite-level sampling and
-//! allocation totals plus per-figure samples, heap traffic, and peak
-//! RSS, harvested from the always-on profiler of the first timed run —
-//! validated by `spm_report::bench::validate_bench_report`).
+//! `results/` (used to populate EXPERIMENTS.md), plus the one bench
+//! artifact `results/BENCH_report.json` (`spm-bench/report/v8`, the
+//! schema `spm_report::bench::validate_bench_report` checks): the wall
+//! time of every suite run, per-figure median/min/total across
+//! `--repeat` runs, suite-wide simulation throughput, per-decoder
+//! ingest throughput from the `spmstk01` store figure, and the
+//! statistical-profiler summary of the first timed run (suite-level
+//! sampling and allocation totals plus per-figure samples, heap
+//! traffic, and peak RSS).
 //!
 //! Flags:
 //!
@@ -20,7 +17,7 @@
 //!   (default 1); the report takes per-figure medians across them.
 //! - `--compare-serial` — additionally run the whole suite at
 //!   `--jobs 1` first, assert every figure's text is byte-identical to
-//!   the parallel run, and record both runs in the timings artifact.
+//!   the parallel run, and record that run in the report's `runs`.
 //! - `--sample-hz N` — span-stack sampling rate of the always-on
 //!   profiler (default 97, deliberately low so the per-figure sample
 //!   counts stay cheap to collect; 0 keeps allocation/OS accounting
@@ -28,11 +25,10 @@
 //! - `--profile FILE` — additionally write the first timed run's full
 //!   event stream (spans, samples, prof counters) to FILE as
 //!   schema-v2 JSONL for `spm report`.
-//! - `--corpus DIR` — after writing the artifacts, ingest this suite
-//!   run into the content-addressed corpus at DIR (the bench report,
-//!   plus the `--profile` stream when one was written), so `spm corpus
-//!   query trajectory/regressions` can trend the suite across builds
-//!   beyond the report's cap-64 trajectory array.
+//! - `--corpus DIR` — after writing the report, ingest this suite run
+//!   into the content-addressed corpus at DIR (the bench report, plus
+//!   the `--profile` stream when one was written); `spm corpus query
+//!   trajectory/regressions` trends the suite across builds.
 
 use std::fs;
 use std::sync::Arc;
@@ -129,7 +125,8 @@ fn compute_figures() -> Vec<(&'static str, String)> {
     out
 }
 
-/// One suite run's wall-clock record for the timings artifact.
+/// One suite run's wall-clock record: its `runs` entry in the report
+/// and the per-figure spans the medians aggregate.
 struct RunTiming {
     jobs: usize,
     total_us: u64,
@@ -185,7 +182,7 @@ fn field_str<'a>(event: &'a spm_obs::Event, key: &str) -> Option<&'a str> {
 /// (nested pipeline spans would swamp the artifact; worker-thread spans
 /// carry no `bench/` prefix), every simulation-throughput gauge, the
 /// per-decoder `ingest/<decoder>_events_per_sec` gauges, and the
-/// profiler's per-figure attribution for the v6 report. With a
+/// profiler's per-figure attribution for the report. With a
 /// `profile` path the run's full event stream is additionally written
 /// as schema-v2 JSONL.
 #[allow(clippy::type_complexity)]
@@ -312,31 +309,6 @@ fn run_once(
     )
 }
 
-/// Renders the `spm-bench/timings/v2` artifact: host parallelism plus
-/// one record per suite run (serial and parallel when both were taken).
-fn timings_json(host_parallelism: usize, runs: &[RunTiming]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"spm-bench/timings/v2\",\n");
-    out.push_str(&format!(
-        "  \"host_parallelism\": {host_parallelism},\n  \"runs\": [\n"
-    ));
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"jobs\": {}, \"total_us\": {}, \"figures\": [\n",
-            run.jobs, run.total_us
-        ));
-        for (j, (name, dur_us)) in run.figures.iter().enumerate() {
-            let comma = if j + 1 == run.figures.len() { "" } else { "," };
-            out.push_str(&format!(
-                "      {{\"name\": \"{name}\", \"dur_us\": {dur_us}}}{comma}\n"
-            ));
-        }
-        let comma = if i + 1 == runs.len() { "" } else { "," };
-        out.push_str(&format!("    ]}}{comma}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Per-figure aggregate across the `--repeat` suite runs.
 struct FigureStat {
     name: String,
@@ -404,112 +376,39 @@ fn decoder_medians(samples: &[(String, f64)]) -> Vec<(String, f64, usize)> {
         .collect()
 }
 
-/// Renders a decoder list (shared by the `ingest` section and every
-/// trajectory point).
-fn decoders_json(medians: &[(String, f64, usize)], indent: &str) -> String {
-    let mut out = String::new();
-    for (i, (name, median, n)) in medians.iter().enumerate() {
-        let comma = if i + 1 == medians.len() { "" } else { "," };
-        out.push_str(&format!(
-            "{indent}{{\"name\": \"{name}\", \"median_events_per_sec\": {median:.0}, \
-\"n\": {n}}}{comma}\n"
-        ));
-    }
-    out
-}
-
 /// Renders the `ingest` section of the report.
 fn ingest_json(medians: &[(String, f64, usize)]) -> String {
     let mut out = format!(
         "  \"ingest\": {{\"workload\": \"{}\", \"decoders\": [\n",
         spm_bench::ingest::INGEST_WORKLOAD
     );
-    out.push_str(&decoders_json(medians, "    "));
+    for (i, (name, median, n)) in medians.iter().enumerate() {
+        let comma = if i + 1 == medians.len() { "" } else { "," };
+        out.push_str(&format!(
+            "    {{\"name\": \"{name}\", \"median_events_per_sec\": {median:.0}, \
+\"n\": {n}}}{comma}\n"
+        ));
+    }
     out.push_str("  ]},\n");
     out
 }
 
-/// One point of the ingest-throughput trajectory the v5 report carries
-/// forward across regenerations.
-struct TrajPoint {
-    seq: u64,
-    jobs: u64,
-    repeats: u64,
-    decoders: Vec<(String, f64, usize)>,
-}
-
-/// Loads the trajectory of the previously committed report so history
-/// accumulates instead of being overwritten. Missing file, unparsable
-/// JSON, or a pre-v5 schema all mean the history starts now (empty).
-/// The previous major version (v5) is still *read* here — the format
-/// bump must not drop the accumulated ingest history — even though the
-/// validator only accepts the current schema.
-fn previous_trajectory(path: &str) -> Vec<TrajPoint> {
-    use spm_obs::jsonl::Json;
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(doc) = spm_obs::jsonl::parse(&text) else {
-        return Vec::new();
-    };
-    let schema = doc.get("schema").and_then(Json::as_str);
-    if schema != Some(spm_report::bench::BENCH_REPORT_SCHEMA)
-        && schema != Some(spm_report::bench::PREV_BENCH_REPORT_SCHEMA)
-    {
-        return Vec::new();
-    }
-    let Some(Json::Arr(points)) = doc.get("trajectory") else {
-        return Vec::new();
-    };
-    let num = |j: &Json, key: &str| -> Option<f64> {
-        match j.get(key) {
-            Some(Json::Num(n)) if n.is_finite() => Some(*n),
-            _ => None,
-        }
-    };
-    points
-        .iter()
-        .filter_map(|point| {
-            let decoders = match point.get("decoders") {
-                Some(Json::Arr(list)) => list
-                    .iter()
-                    .filter_map(|d| {
-                        Some((
-                            d.get("name")?.as_str()?.to_string(),
-                            num(d, "median_events_per_sec")?,
-                            num(d, "n")? as usize,
-                        ))
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
-            Some(TrajPoint {
-                seq: num(point, "seq")? as u64,
-                jobs: num(point, "jobs")? as u64,
-                repeats: num(point, "repeats")? as u64,
-                decoders,
-            })
-        })
-        .collect()
-}
-
-/// Renders the `trajectory` section: prior points plus this run's.
-fn trajectory_json(points: &[TrajPoint]) -> String {
-    let mut out = String::from("  \"trajectory\": [\n");
-    for (i, point) in points.iter().enumerate() {
+/// Renders the `runs` section: one `{jobs, total_us}` entry per suite
+/// run, the `--compare-serial` run first.
+fn runs_json(runs: &[RunTiming]) -> String {
+    let mut out = String::from("  \"runs\": [\n");
+    for (i, run) in runs.iter().enumerate() {
+        let comma = if i + 1 == runs.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"seq\": {}, \"jobs\": {}, \"repeats\": {}, \"decoders\": [\n",
-            point.seq, point.jobs, point.repeats
+            "    {{\"jobs\": {}, \"total_us\": {}}}{comma}\n",
+            run.jobs, run.total_us
         ));
-        out.push_str(&decoders_json(&point.decoders, "      "));
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!("    ]}}{comma}\n"));
     }
     out.push_str("  ],\n");
     out
 }
 
-/// Renders the `spm-bench/report/v7` artifact (the schema
+/// Renders the `spm-bench/report/v8` artifact (the schema
 /// `spm_report::bench::validate_bench_report` checks). One argument per
 /// top-level report section keeps the call site self-documenting.
 #[allow(clippy::too_many_arguments)]
@@ -517,10 +416,10 @@ fn report_json(
     host_parallelism: usize,
     jobs: usize,
     repeats: usize,
+    runs: &[RunTiming],
     stats: &[FigureStat],
     events_per_sec: &mut [f64],
     ingest: &[(String, f64)],
-    trajectory: &[TrajPoint],
     profile: &SuiteProfile,
 ) -> String {
     events_per_sec.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -531,9 +430,10 @@ fn report_json(
     };
     let mut out = format!(
         "{{\n  \"schema\": \"{}\",\n  \"host_parallelism\": {host_parallelism},\n  \
-\"jobs\": {jobs},\n  \"repeats\": {repeats},\n  \
+\"jobs\": {jobs},\n  \"repeats\": {repeats},\n{}  \
 \"events_per_sec\": {{\"median\": {:.0}, \"n\": {}}},\n",
         spm_report::bench::BENCH_REPORT_SCHEMA,
+        runs_json(runs),
         eps_median,
         events_per_sec.len()
     );
@@ -547,7 +447,6 @@ fn report_json(
         profile.heap_peak_bytes
     ));
     out.push_str(&ingest_json(&decoder_medians(ingest)));
-    out.push_str(&trajectory_json(trajectory));
     out.push_str("  \"figures\": [\n");
     let empty = FigProfile::default();
     for (i, s) in stats.iter().enumerate() {
@@ -704,32 +603,15 @@ fn main() {
         println!();
     }
 
-    let json = timings_json(spm_par::available_parallelism(), &runs);
-    if let Err(e) = fs::write("results/BENCH_timings.json", json) {
-        io_exit("write results/BENCH_timings.json", &e);
-    }
     let stats = figure_stats(&runs[repeats_start..]);
-    // Carry the committed report's ingest trajectory forward and append
-    // this run as its next point (oldest dropped beyond the cap).
-    let mut trajectory = previous_trajectory("results/BENCH_report.json");
-    trajectory.push(TrajPoint {
-        seq: trajectory.last().map_or(0, |p| p.seq) + 1,
-        jobs: jobs as u64,
-        repeats: repeat as u64,
-        decoders: decoder_medians(&ingest_samples),
-    });
-    let drop_count = trajectory
-        .len()
-        .saturating_sub(spm_report::bench::TRAJECTORY_CAP);
-    trajectory.drain(..drop_count);
     let report = report_json(
         spm_par::available_parallelism(),
         jobs,
         repeat,
+        &runs,
         &stats,
         &mut events_per_sec,
         &ingest_samples,
-        &trajectory,
         &suite_profile,
     );
     if let Err(message) = spm_report::bench::validate_bench_report(&report) {
@@ -755,7 +637,6 @@ fn main() {
             serial.total_us as f64 / parallel.total_us.max(1) as f64
         );
     }
-    println!("wrote results/BENCH_timings.json");
     println!(
         "wrote results/BENCH_report.json ({} figures, {repeat} repeat(s), {} throughput samples)",
         stats.len(),

@@ -9,7 +9,8 @@
 //!   validator (the same executable schema `spm report` ingests by);
 //! * marker files must parse as `markers v1`;
 //! * partitions must carry the `begin\tend\tphase` table header;
-//! * bench reports must validate as `spm-bench/report/v7`.
+//! * bench reports must validate against
+//!   [`spm_report::bench::BENCH_REPORT_SCHEMA`].
 //!
 //! Objects and manifests are written via a temp-file + rename pair, so
 //! a crashed `add` never leaves a half-written object under its final

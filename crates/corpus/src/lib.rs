@@ -36,10 +36,8 @@
 //!   fraction. This is the paper's cross-input stability claim made
 //!   measurable at fleet scale.
 //! * [`query::trajectory`] — per-figure median wall-clock and
-//!   events/sec across every ingested `BENCH_report.json`. The bench
-//!   report's own `trajectory` array carries at most
-//!   [`spm_report::bench::TRAJECTORY_CAP`] points; the corpus keeps
-//!   every report ever ingested.
+//!   events/sec across every ingested `BENCH_report.json`. A report
+//!   describes one suite invocation; the corpus is the one history.
 //! * [`query::regressions`] — the `spm report` noise-aware gate
 //!   (median-of-N, relative threshold, absolute floor) applied across
 //!   **all** same-workload run pairs, each run indexed once

@@ -6,7 +6,7 @@
 //! number formatting) so that identical runs produce identical bytes:
 //! the dedupe contract of the corpus rests on this file's encoder.
 
-use spm_obs::jsonl::{parse, Json};
+use spm_obs::jsonl::{parse, push_json_str, Json};
 use spm_store::format::fnv1a64;
 use std::fmt;
 
@@ -39,7 +39,8 @@ pub enum ArtifactKind {
     Markers,
     /// A phase-partition table (`begin\tend\tphase\t...` TSV).
     Partition,
-    /// An `all_figures` bench report (`spm-bench/report/v7`).
+    /// An `all_figures` bench report
+    /// ([`spm_report::bench::BENCH_REPORT_SCHEMA`]).
     BenchReport,
 }
 
@@ -109,22 +110,10 @@ pub struct RunManifest {
     pub artifacts: Vec<Artifact>,
 }
 
-/// Escapes a string for inclusion in a JSON document.
+/// `s` as a quoted, escaped JSON string literal.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_str(&mut out, s);
     out
 }
 

@@ -178,8 +178,8 @@ fn named_series(doc: &Json, section: &str, value_key: &str) -> Result<Vec<(Strin
 }
 
 /// Per-figure and per-decoder history over **every** ingested
-/// `BENCH_report.json`, oldest first — the corpus-scale extension of
-/// the report's own cap-64 `trajectory` array.
+/// `BENCH_report.json`, oldest first. Each report describes one suite
+/// invocation, so this is the suite's only history.
 ///
 /// # Errors
 ///

@@ -86,7 +86,8 @@ pub fn encode(event: &Event) -> String {
     out
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted, escaped JSON string literal.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -87,7 +87,9 @@ fn fmt_fields(event: &Event) -> String {
     format!(" [{}]", fields.join(", "))
 }
 
-fn fmt_duration(dur_us: u64) -> String {
+/// Formats a microsecond duration as `999us`, `1.50ms` or `2.00s`:
+/// the one duration format of every human-readable report.
+pub fn fmt_duration(dur_us: u64) -> String {
     if dur_us >= 1_000_000 {
         format!("{:.2}s", dur_us as f64 / 1e6)
     } else if dur_us >= 1_000 {

@@ -1,42 +1,33 @@
-//! Validation of the committed bench artifact
-//! (`results/BENCH_report.json`, schema `spm-bench/report/v7`).
+//! Validation of the one bench artifact, `results/BENCH_report.json`
+//! (schema `spm-bench/report/v8`), which `all_figures` writes.
 //!
-//! The report carries the current measurement — for each figure of the
-//! suite the repeat count and the median/min/total wall-clock across
-//! repeats, the suite-wide simulation throughput, and the per-decoder
-//! ingest throughput of the `spmstk01` store figure (per-event vs
-//! batched vs parallel vs compressed vs crash-recovered decode) — plus
-//! (since v5) the
-//! `trajectory`: the per-decoder ingest medians of *previous* committed
-//! reports, carried forward and appended to by `all_figures` on each
-//! regeneration, so ingest-throughput history accumulates in-repo
-//! instead of being overwritten. v6 adds the statistical profiler
-//! (DESIGN.md §13): a suite-level `profile` object (sampling rate,
-//! total samples, allocation totals, heap peak) and a per-figure
-//! `profile` object (samples landing in the figure, allocs/bytes
-//! attributed to its span, peak RSS at its close) — the before/after
-//! evidence the ingest-optimization work gates on. Like the JSONL
-//! stream schema, the validator here is the *executable* schema: CI
-//! runs it against the committed file, and the writer (`all_figures`)
-//! is tested against it, so producer and consumer cannot drift apart
-//! silently.
+//! A report describes one invocation of the figure suite:
+//!
+//! - `host_parallelism`, `jobs`, `repeats` — where and how it ran;
+//! - `runs` — one `{jobs, total_us}` entry per suite run, the
+//!   `--compare-serial` run (at `--jobs 1`) first, so the serial vs
+//!   parallel speedup is recoverable from the report alone;
+//! - `events_per_sec` — the median suite-wide simulation throughput;
+//! - `profile` — the statistical profiler's suite totals (DESIGN.md
+//!   §13): sampling rate, samples, allocations, heap peak;
+//! - `ingest` — per-decoder throughput of the `spmstk01` store figure;
+//! - `figures` — per figure the median/min/total wall-clock across the
+//!   repeats and its own `profile` (samples, allocs/bytes attributed
+//!   to its span, peak RSS at its close).
+//!
+//! History across builds is not kept here: `spm corpus add` ingests
+//! each report and `spm corpus query trajectory` trends them. Like the
+//! JSONL stream schema, the validator is the *executable* schema: CI
+//! runs it against the committed file, the writer checks its own
+//! output with it, and the corpus rejects any report that fails it.
 
 use spm_obs::jsonl::{parse, Json};
 
 /// Schema identifier of the bench report artifact.
-pub const BENCH_REPORT_SCHEMA: &str = "spm-bench/report/v7";
+pub const BENCH_REPORT_SCHEMA: &str = "spm-bench/report/v8";
 
-/// The previous schema identifier. The writer still *reads* v6 files
-/// (to carry their ingest trajectory forward across the format bump)
-/// but always writes, and the validator only accepts, v7.
-pub const PREV_BENCH_REPORT_SCHEMA: &str = "spm-bench/report/v6";
-
-/// Most trajectory points a report may carry (the writer drops the
-/// oldest beyond this).
-pub const TRAJECTORY_CAP: usize = 64;
-
-/// Validates one decoder entry (`{name, median_events_per_sec, n}`),
-/// shared by the `ingest` section and every trajectory point.
+/// Validates the `ingest` section's decoder entries
+/// (`{name, median_events_per_sec, n}`).
 fn check_decoders(decoders: &[Json], at: impl Fn(String) -> String) -> Result<(), String> {
     for (i, dec) in decoders.iter().enumerate() {
         let at = |message: String| at(format!("decoders[{i}]: {message}"));
@@ -107,8 +98,8 @@ fn check_profile(doc: &Json, keys: &[&str], at: impl Fn(String) -> String) -> Re
 /// # Errors
 ///
 /// A human-readable description of the first violation: wrong schema
-/// tag, missing or mistyped keys, non-finite numbers, empty figure or
-/// ingest-decoder lists, or per-figure stats that contradict each
+/// tag, missing or mistyped keys, non-finite numbers, empty run, figure
+/// or ingest-decoder lists, or per-figure stats that contradict each
 /// other (`min > median` or `median > total`).
 pub fn validate_bench_report(text: &str) -> Result<(), String> {
     let doc = parse(text)?;
@@ -125,12 +116,22 @@ pub fn validate_bench_report(text: &str) -> Result<(), String> {
     positive_int(&doc, "jobs")?;
     let repeats = positive_int(&doc, "repeats")?;
 
-    let Some(Json::Obj(_)) = doc.get("events_per_sec") else {
-        return Err("missing `events_per_sec` object".into());
+    let Some(Json::Arr(runs)) = doc.get("runs") else {
+        return Err("missing `runs` array".into());
     };
-    let eps = doc
-        .get("events_per_sec")
-        .ok_or("missing `events_per_sec`")?;
+    if runs.is_empty() {
+        return Err("`runs` is empty".into());
+    }
+    for (i, run) in runs.iter().enumerate() {
+        let at = |message: String| format!("runs[{i}]: {message}");
+        positive_int(run, "jobs").map_err(&at)?;
+        nonneg_int(run, "total_us").map_err(at)?;
+    }
+
+    let eps = match doc.get("events_per_sec") {
+        Some(obj @ Json::Obj(_)) => obj,
+        _ => return Err("missing `events_per_sec` object".into()),
+    };
     let median = finite_num(eps, "median")?;
     if median < 0.0 {
         return Err("`events_per_sec.median` is negative".into());
@@ -140,7 +141,6 @@ pub fn validate_bench_report(text: &str) -> Result<(), String> {
         return Err("`events_per_sec.n` must be a non-negative integer".into());
     }
 
-    // v6: the suite-level profiler summary.
     check_profile(
         &doc,
         &[
@@ -169,37 +169,6 @@ pub fn validate_bench_report(text: &str) -> Result<(), String> {
         return Err("`ingest.decoders` is empty".into());
     }
     check_decoders(decoders, |message| format!("ingest.{message}"))?;
-
-    // The trajectory may be empty (a fresh v5 file has no history yet)
-    // but must be present, each point well-formed, and its sequence
-    // numbers strictly increasing.
-    let Some(Json::Arr(trajectory)) = doc.get("trajectory") else {
-        return Err("missing `trajectory` array".into());
-    };
-    if trajectory.len() > TRAJECTORY_CAP {
-        return Err(format!(
-            "`trajectory` has {} points, cap is {TRAJECTORY_CAP}",
-            trajectory.len()
-        ));
-    }
-    let mut last_seq = 0u64;
-    for (i, point) in trajectory.iter().enumerate() {
-        let at = |message: String| format!("trajectory[{i}]: {message}");
-        let seq = positive_int(point, "seq").map_err(&at)?;
-        if seq <= last_seq {
-            return Err(at(format!("`seq` {seq} not above predecessor {last_seq}")));
-        }
-        last_seq = seq;
-        positive_int(point, "jobs").map_err(&at)?;
-        positive_int(point, "repeats").map_err(&at)?;
-        let Some(Json::Arr(decoders)) = point.get("decoders") else {
-            return Err(at("missing `decoders` array".into()));
-        };
-        if decoders.is_empty() {
-            return Err(at("`decoders` is empty".into()));
-        }
-        check_decoders(decoders, at)?;
-    }
 
     let Some(Json::Arr(figures)) = doc.get("figures") else {
         return Err("missing `figures` array".into());
@@ -234,7 +203,6 @@ pub fn validate_bench_report(text: &str) -> Result<(), String> {
         if median_us > total_us {
             return Err(at(format!("median_us {median_us} > total_us {total_us}")));
         }
-        // v6: every figure carries its profiler summary.
         check_profile(
             fig,
             &["samples", "allocs", "alloc_bytes", "peak_rss_kb"],
@@ -255,22 +223,19 @@ mod tests {
   "host_parallelism": 4,
   "jobs": 4,
   "repeats": 2,
+  "runs": [
+    {{"jobs": 1, "total_us": 9000000}},
+    {{"jobs": 4, "total_us": 3100000}},
+    {{"jobs": 4, "total_us": 3000000}}
+  ],
   "events_per_sec": {{"median": 150000000, "n": 12}},
   "profile": {{"sample_hz": 7, "samples": 420, "allocs": 120000, "alloc_bytes": 90000000, "heap_peak_bytes": 30000000}},
   "ingest": {{"workload": "gzip", "decoders": [
-    {{"name": "flat", "median_events_per_sec": 90000000, "n": 2}},
     {{"name": "store", "median_events_per_sec": 85000000, "n": 2}},
+    {{"name": "store-batch", "median_events_per_sec": 90000000, "n": 2}},
     {{"name": "store-par", "median_events_per_sec": 160000000, "n": 2}},
     {{"name": "store-faulted", "median_events_per_sec": 70000000, "n": 2}}
   ]}},
-  "trajectory": [
-    {{"seq": 1, "jobs": 4, "repeats": 2, "decoders": [
-      {{"name": "flat", "median_events_per_sec": 88000000, "n": 2}}
-    ]}},
-    {{"seq": 2, "jobs": 4, "repeats": 2, "decoders": [
-      {{"name": "flat", "median_events_per_sec": 90000000, "n": 2}}
-    ]}}
-  ],
   "figures": [
     {{"name": "fig03", "repeats": 2, "median_us": 60000, "min_us": 55000, "total_us": 125000, "profile": {{"samples": 4, "allocs": 900, "alloc_bytes": 500000, "peak_rss_kb": 40000}}}},
     {{"name": "fig04", "repeats": 2, "median_us": 1500000, "min_us": 1400000, "total_us": 2900000, "profile": {{"samples": 110, "allocs": 52000, "alloc_bytes": 41000000, "peak_rss_kb": 52000}}}}
@@ -286,18 +251,19 @@ mod tests {
 
     #[test]
     fn wrong_schema_tag_fails() {
-        let text = sample().replace("report/v7", "timings/v2");
+        let text = sample().replace("report/v8", "timings/v2");
         let err = validate_bench_report(&text).unwrap_err();
         assert!(err.contains("timings/v2"), "{err}");
         // The previous major version is rejected too: a stale committed
         // artifact must fail, not slide through.
-        let text = sample().replace(BENCH_REPORT_SCHEMA, PREV_BENCH_REPORT_SCHEMA);
-        assert!(validate_bench_report(&text).is_err());
+        let text = sample().replace("report/v8", "report/v7");
+        let err = validate_bench_report(&text).unwrap_err();
+        assert!(err.contains("spm-bench/report/v7"), "{err}");
     }
 
     #[test]
     fn missing_profile_sections_fail() {
-        // Suite-level profile is mandatory at v6.
+        // The suite-level profile is mandatory.
         let start = sample().find("  \"profile\"").unwrap();
         let mut text = sample();
         let end = text.find("  \"ingest\"").unwrap();
@@ -324,37 +290,31 @@ mod tests {
     }
 
     #[test]
-    fn missing_trajectory_fails_but_empty_passes() {
-        let start = sample().find("  \"trajectory\"").unwrap();
+    fn missing_runs_fails() {
+        let start = sample().find("  \"runs\"").unwrap();
         let mut text = sample();
-        let end = text.find("  \"figures\"").unwrap();
+        let end = text.find("  \"events_per_sec\"").unwrap();
         text.replace_range(start..end, "");
         let err = validate_bench_report(&text).unwrap_err();
-        assert!(err.contains("trajectory"), "{err}");
-
-        // A fresh v5 file starts with no history.
-        let mut text = sample();
-        let start = text.find("\"trajectory\": [").unwrap() + "\"trajectory\": ".len();
-        let end = start + text[start..].find("],").unwrap();
-        text.replace_range(start..end + 1, "[]");
-        validate_bench_report(&text).unwrap();
+        assert!(err.contains("missing `runs`"), "{err}");
     }
 
     #[test]
-    fn trajectory_points_are_checked() {
-        // Non-increasing sequence numbers fail.
-        let text = sample().replace("\"seq\": 2", "\"seq\": 1");
+    fn empty_runs_fails() {
+        let mut text = sample();
+        let start = text.find("\"runs\": [").unwrap() + "\"runs\": ".len();
+        let end = start + text[start..].find("],").unwrap();
+        text.replace_range(start..=end, "[]");
         let err = validate_bench_report(&text).unwrap_err();
-        assert!(err.contains("trajectory[1]"), "{err}");
-        assert!(err.contains("not above predecessor"), "{err}");
-        // A malformed decoder inside a point fails with its location.
-        let text = sample().replace(
-            "{\"name\": \"flat\", \"median_events_per_sec\": 88000000, \"n\": 2}",
-            "{\"median_events_per_sec\": 88000000, \"n\": 2}",
-        );
+        assert!(err.contains("`runs` is empty"), "{err}");
+    }
+
+    #[test]
+    fn zero_job_run_fails_with_location() {
+        let text = sample().replace("{\"jobs\": 1, ", "{\"jobs\": 0, ");
         let err = validate_bench_report(&text).unwrap_err();
-        assert!(err.contains("trajectory[0]"), "{err}");
-        assert!(err.contains("decoders[0]"), "{err}");
+        assert!(err.contains("runs[0]"), "{err}");
+        assert!(err.contains("`jobs` must be a positive integer"), "{err}");
     }
 
     #[test]
@@ -416,7 +376,7 @@ mod tests {
             "\"median_events_per_sec\": -1",
         );
         let err = validate_bench_report(&text).unwrap_err();
-        assert!(err.contains("ingest.decoders[1]"), "{err}");
+        assert!(err.contains("ingest.decoders[0]"), "{err}");
         assert!(err.contains("negative"), "{err}");
 
         let text = sample().replace("\"name\": \"store-par\", ", "");

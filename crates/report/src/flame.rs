@@ -13,6 +13,7 @@
 //! can overlap their parent).
 
 use crate::ingest::Run;
+pub use spm_obs::summary::fmt_duration;
 use std::collections::BTreeMap;
 
 /// One aggregated stage in the flame tree.
@@ -99,17 +100,6 @@ pub fn build(run: &Run) -> Vec<FlameNode> {
         .collect();
     roots.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.path.cmp(&b.path)));
     roots
-}
-
-/// Formats a microsecond duration the way the rest of the repo does.
-pub fn fmt_duration(dur_us: u64) -> String {
-    if dur_us >= 1_000_000 {
-        format!("{:.2}s", dur_us as f64 / 1e6)
-    } else if dur_us >= 1_000 {
-        format!("{:.2}ms", dur_us as f64 / 1e3)
-    } else {
-        format!("{dur_us}us")
-    }
 }
 
 /// Renders the forest as an indented terminal tree: per stage the

@@ -30,8 +30,8 @@
 //! from the `;`-separated frames) next to the span flame, and
 //! [`statflame::folded_lines`] exports either as flamegraph input.
 //!
-//! [`bench`] additionally validates the `spm-bench/report/v7` artifact
-//! (`results/BENCH_report.json`) that `all_figures` writes.
+//! [`bench`] additionally validates the one bench artifact,
+//! `results/BENCH_report.json`, that `all_figures` writes.
 //!
 //! # Example
 //!

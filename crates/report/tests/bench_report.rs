@@ -1,6 +1,6 @@
-//! The committed bench trajectory point must validate against the
-//! executable v6 schema — the same check CI runs, so a hand-edited or
-//! stale artifact fails before it merges.
+//! The committed bench report must validate against the executable
+//! schema — the same check CI runs, so a hand-edited or stale artifact
+//! fails before it merges.
 
 use spm_report::bench::{validate_bench_report, BENCH_REPORT_SCHEMA};
 use std::path::PathBuf;
@@ -14,8 +14,24 @@ fn committed_report() -> String {
 #[test]
 fn committed_bench_report_validates() {
     let text = committed_report();
-    validate_bench_report(&text).expect("results/BENCH_report.json matches the v6 schema");
+    validate_bench_report(&text)
+        .unwrap_or_else(|e| panic!("results/BENCH_report.json fails {BENCH_REPORT_SCHEMA}: {e}"));
     assert!(text.contains(BENCH_REPORT_SCHEMA));
+}
+
+#[test]
+fn committed_bench_report_carries_no_history_or_retired_decoders() {
+    // History lives in the corpus (`spm corpus query trajectory`), and
+    // the flat trace decoder no longer exists.
+    let text = committed_report();
+    assert!(
+        !text.contains("\"trajectory\""),
+        "stale in-report trajectory"
+    );
+    assert!(
+        !text.contains("\"name\": \"flat\""),
+        "stale flat decoder row"
+    );
 }
 
 #[test]

@@ -19,9 +19,9 @@
 //! never panics on hostile input.
 
 use spm_core::Marker;
-use spm_sim::record::decode_event;
 use spm_sim::TraceEvent;
 use spm_store::format::{fnv1a64, BlockMeta, FRAME_LEN};
+use spm_store::Compression;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -230,42 +230,21 @@ pub struct WireBlock {
 }
 
 impl WireBlock {
-    /// Decodes the payload into `(icount, event)` pairs, mirroring the
-    /// store reader's block decode: deltas accumulate from
-    /// `meta.start_icount`, and the event count and end icount are
-    /// cross-checked against the frame.
+    /// Decodes the payload into `(icount, event)` pairs with the store
+    /// reader's own block decoder ([`spm_store::decode_block`]): deltas
+    /// accumulate from `meta.start_icount`, and the event count and end
+    /// icount are cross-checked against the frame.
     ///
     /// # Errors
     ///
     /// [`ProtoError::BadFrame`] when the payload does not decode or
     /// does not match the frame's declared counts.
     pub fn decode_events(&self) -> Result<Vec<(u64, TraceEvent)>, ProtoError> {
-        let bad = |detail: String| ProtoError::BadFrame { detail };
-        let mut events = Vec::with_capacity(self.meta.events as usize);
-        let mut pos = 0usize;
-        let mut icount = self.meta.start_icount;
-        while pos < self.payload.len() {
-            let (delta, event) =
-                decode_event(&self.payload, &mut pos).map_err(|e| bad(e.to_string()))?;
-            icount = icount
-                .checked_add(delta)
-                .ok_or_else(|| bad("icount overflow".into()))?;
-            events.push((icount, event));
-        }
-        if events.len() as u64 != u64::from(self.meta.events) {
-            return Err(bad(format!(
-                "block declares {} events, payload holds {}",
-                self.meta.events,
-                events.len()
-            )));
-        }
-        if icount != self.meta.end_icount {
-            return Err(bad(format!(
-                "block declares end icount {}, payload reaches {icount}",
-                self.meta.end_icount
-            )));
-        }
-        Ok(events)
+        spm_store::decode_block(&self.payload, self.meta, Compression::None).map_err(|e| {
+            ProtoError::BadFrame {
+                detail: e.to_string(),
+            }
+        })
     }
 }
 
@@ -769,6 +748,8 @@ pub fn chunk_events(events: &[(u64, TraceEvent)], budget: usize) -> Vec<WireBloc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use spm_ir::ProcId;
 
     fn events() -> Vec<(u64, TraceEvent)> {
@@ -914,10 +895,7 @@ mod tests {
         let mut payload = Vec::new();
         payload.extend_from_slice(b"spmsrv99");
         push_str(&mut payload, "s");
-        let mut bytes = vec![tag::HELLO];
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        let bytes = framed(tag::HELLO, &payload);
         match read_message(&mut &bytes[..]) {
             Err(ServeError::Proto(ProtoError::UnsupportedVersion { found })) => {
                 assert_eq!(&found, b"99");
@@ -933,6 +911,70 @@ mod tests {
         match read_message(&mut &bytes[..]) {
             Err(ServeError::Proto(ProtoError::TooLarge { .. })) => {}
             other => panic!("expected TooLarge, got {other:?}"),
+        }
+    }
+
+    /// Frames `payload` under `tag` with a valid length and checksum, so
+    /// decoding reaches the per-message payload parser.
+    fn framed(tag_byte: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = vec![tag_byte];
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, raw or under a valid frame header and
+        /// checksum, decode to a message or a typed error.
+        #[test]
+        fn arbitrary_bytes_decode_or_fail_typed(
+            bytes in vec(any::<u8>(), 0..96),
+            tag_byte in 0u8..12,
+        ) {
+            for input in [bytes.clone(), framed(tag_byte, &bytes)] {
+                match read_message(&mut &input[..]) {
+                    Ok(_) | Err(ServeError::Proto(_)) | Err(ServeError::Io { .. }) => {}
+                    Err(other) => prop_assert!(false, "untyped decode failure: {other:?}"),
+                }
+            }
+        }
+
+        /// Any block header over any payload — arbitrary bytes or a
+        /// genuine encoded block — that passes the frame checksums
+        /// decodes to exactly the declared events or fails `BadFrame`.
+        #[test]
+        fn arbitrary_block_meta_decodes_or_is_a_bad_frame(
+            declared in any::<u32>(),
+            start_icount in any::<u64>(),
+            end_icount in any::<u64>(),
+            junk in vec(any::<u8>(), 0..64),
+            genuine in any::<bool>(),
+        ) {
+            let payload = if genuine {
+                chunk_events(&events(), 1 << 20).remove(0).payload
+            } else {
+                junk
+            };
+            let meta = BlockMeta {
+                offset: 0,
+                first_seq: 0,
+                start_icount,
+                end_icount,
+                events: declared,
+                payload_len: payload.len() as u32,
+            };
+            let bytes = encode_message(&Message::Block(WireBlock { meta, payload }));
+            let Ok(Message::Block(block)) = read_message(&mut &bytes[..]) else {
+                return Err(TestCaseError("a checksummed BLOCK must frame-decode".into()));
+            };
+            match block.decode_events() {
+                Ok(decoded) => prop_assert_eq!(decoded.len() as u64, u64::from(declared)),
+                Err(ProtoError::BadFrame { .. }) => {}
+                Err(other) => prop_assert!(false, "expected BadFrame, got {other:?}"),
+            }
         }
     }
 }

@@ -399,6 +399,72 @@ fn malformed_peers_do_not_poison_other_sessions() {
 }
 
 #[test]
+fn hostile_block_headers_get_typed_errors_not_an_abort() {
+    let events = trace(1);
+    let server = Server::start(server_config()).unwrap();
+    let empty = spm_store::format::BlockMeta {
+        offset: 0,
+        first_seq: 0,
+        start_icount: 0,
+        end_icount: 0,
+        events: 0,
+        payload_len: 0,
+    };
+    let hostiles = [
+        // Claims u32::MAX events over an empty payload: the reservation
+        // must not trust the header.
+        (
+            spm_store::format::BlockMeta {
+                events: u32::MAX,
+                ..empty
+            },
+            proto::ErrCode::BadFrame,
+        ),
+        // `first_seq + events` past u64::MAX must not overflow.
+        (
+            spm_store::format::BlockMeta {
+                first_seq: u64::MAX,
+                events: 1,
+                ..empty
+            },
+            proto::ErrCode::SequenceGap,
+        ),
+    ];
+    for (i, (meta, expected)) in hostiles.into_iter().enumerate() {
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let (mut r, mut w) = (&stream, &stream);
+        let name = format!("hostile-{i}");
+        proto::write_message(&mut w, &Message::Hello { name }).unwrap();
+        match proto::read_message(&mut r).unwrap() {
+            Message::Welcome { events: 0, .. } => {}
+            other => panic!("expected a fresh WELCOME, got {other:?}"),
+        }
+        // 53 bytes, every checksum valid.
+        let frame = proto::encode_message(&Message::Block(proto::WireBlock {
+            meta,
+            payload: Vec::new(),
+        }));
+        assert_eq!(frame.len(), 53);
+        w.write_all(&frame).unwrap();
+        match proto::read_message(&mut r).unwrap() {
+            Message::Err { code, .. } => assert_eq!(code, expected, "{meta:?}"),
+            other => panic!("{meta:?}: expected ERR {expected:?}, got {other:?}"),
+        }
+    }
+
+    // The server survives and finishes the next session.
+    let send = SendConfig::new(&server.addr().to_string(), "after-hostile");
+    let outcome = send_events(&send, &events).unwrap();
+    assert_eq!(
+        outcome.done.markers_text,
+        batch_markers(&events, select_config())
+    );
+    let report = server.stop();
+    assert_eq!(report.done, 1);
+    assert_eq!(report.protocol_errors, 2, "both bad frames are counted");
+}
+
+#[test]
 fn wrong_version_hello_gets_a_typed_reply() {
     let server = Server::start(server_config()).unwrap();
     let stream = TcpStream::connect(server.addr()).unwrap();

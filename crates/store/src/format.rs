@@ -259,9 +259,10 @@ pub struct BlockMeta {
 }
 
 impl BlockMeta {
-    /// Sequence number one past the block's last event.
+    /// Sequence number one past the block's last event (saturating, so
+    /// a hostile frame header cannot overflow it).
     pub fn end_seq(self) -> u64 {
-        self.first_seq + u64::from(self.events)
+        self.first_seq.saturating_add(u64::from(self.events))
     }
 
     /// Serializes the index-entry form.

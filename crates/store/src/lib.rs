@@ -47,7 +47,7 @@ mod writer;
 
 pub use format::{Compression, SyncPolicy};
 pub use io::{Clock, FaultPlan, FaultyIo, FileIo, RetryPolicy, StoreIo, SystemClock};
-pub use reader::{SkippedBlock, StoreInfo, StoreReader, StoreReplayReport};
+pub use reader::{decode_block, SkippedBlock, StoreInfo, StoreReader, StoreReplayReport};
 pub use writer::{CommitMark, FinishOutcome, StoreSummary, StoreWriter};
 
 use spm_sim::record::DecodeError;

@@ -751,9 +751,18 @@ fn decode_block_into(
     Ok(())
 }
 
-/// Owned-allocation variant of [`decode_block_into`] for the parallel
-/// path, where each worker needs its own event list.
-fn decode_block(
+/// Decodes one block payload into an owned event list: the parallel
+/// replay path's per-worker decode, and the decoder for any other
+/// carrier of spmstk01 blocks (the serve wire protocol). The payload
+/// must already have passed its checksum; the declared event count and
+/// end icount are cross-checked, and an untrusted `meta.events` never
+/// sizes an allocation beyond what the payload can hold.
+///
+/// # Errors
+///
+/// A typed [`DecodeError`] when the payload does not decode, does not
+/// decompress under `compression`, or disagrees with `meta`.
+pub fn decode_block(
     payload: &[u8],
     meta: BlockMeta,
     compression: Compression,
