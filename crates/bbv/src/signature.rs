@@ -141,10 +141,8 @@ impl CodeSignatureCollector {
     fn bump(&mut self, index: usize) {
         self.counts[index] += 1;
     }
-}
 
-impl TraceObserver for CodeSignatureCollector {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+    fn step(&mut self, icount: u64, event: &TraceEvent) {
         match *event {
             TraceEvent::BlockExec { instrs, .. } => {
                 let block_start = icount - u64::from(instrs);
@@ -163,6 +161,14 @@ impl TraceObserver for CodeSignatureCollector {
                 self.cut(icount.max(self.last_icount));
             }
             _ => {}
+        }
+    }
+}
+
+impl TraceObserver for CodeSignatureCollector {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self.step(*icount, event);
         }
     }
 }

@@ -158,9 +158,7 @@ fn pack_through(
             base_delay: std::time::Duration::ZERO,
         })
         .clock(Box::new(NoSleep));
-    for (icount, event) in events {
-        writer.on_event(*icount, event);
-    }
+    writer.on_batch(events);
     let outcome = writer.finish_with_sink();
     (outcome.result, outcome.committed, outcome.sink)
 }
@@ -169,9 +167,7 @@ fn pack_through(
 /// profiling: truncated prefixes have frames still open).
 fn markers_of(events: &[(u64, TraceEvent)]) -> Result<String, SpmError> {
     let mut profiler = CallLoopProfiler::lenient();
-    for (icount, event) in events {
-        profiler.on_event(*icount, event);
-    }
+    profiler.on_batch(events);
     let graph = profiler.into_graph().map_err(SpmError::Profile)?;
     let outcome = select_markers(&graph, &SelectConfig::new(crate::ILOWER));
     Ok(write_markers(&outcome.markers))

@@ -1,7 +1,6 @@
-//! Ingest-throughput figure: one recorded event stream decoded five
-//! ways — sequential `spmstk01` store replay through the legacy
-//! per-event virtual-dispatch path, the same replay
-//! with batched observer delivery (the production hot path), parallel
+//! Ingest-throughput figure: one recorded event stream decoded four
+//! ways — sequential `spmstk01` store replay (the production hot path,
+//! one `on_batch` call per block), parallel
 //! store replay, sequential replay of an LZ-compressed container, and
 //! recovery-path replay of a store whose ingest was killed mid-write by
 //! the seeded [`spm_store::FaultyIo`] failpoint disk (the crash-safety
@@ -36,11 +35,10 @@ use std::time::Instant;
 /// Workload whose `ref` input feeds the ingest measurement.
 pub const INGEST_WORKLOAD: &str = "gzip";
 
-/// The measured decode paths, in report order. `store` keeps the
-/// legacy one-virtual-call-per-event delivery as the regression
-/// baseline; `store-batch` is the production batched path.
-pub const DECODERS: [&str; 5] = [
-    "store",
+/// The measured decode paths, in report order. `store-batch` is the
+/// sequential replay, named so that the corpus trajectory series
+/// recorded under that name continue.
+pub const DECODERS: [&str; 4] = [
     "store-batch",
     "store-par",
     "store-compressed",
@@ -55,34 +53,12 @@ const FAULT_SEED: u64 = crate::ANALYSIS_SEED ^ 0x1265;
 /// the faulted path.
 const TRANSIENT_ONE_IN: u32 = 16;
 
-/// Counts delivered events without retaining them, taking the batched
-/// delivery path when the decoder offers it.
+/// Counts delivered events without retaining them.
 struct Count(u64);
 
 impl TraceObserver for Count {
-    fn on_event(&mut self, _icount: u64, _event: &TraceEvent) {
-        self.0 += 1;
-    }
-
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
         self.0 += batch.len() as u64;
-    }
-}
-
-/// Forces one virtual call per event — the pre-batching store hot
-/// path, kept as a measured row so the figure shows what batched
-/// delivery buys over it.
-struct PerEvent<'a>(&'a mut dyn TraceObserver);
-
-impl TraceObserver for PerEvent<'_> {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.0.on_event(icount, event);
-    }
-
-    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
-        for (icount, event) in batch {
-            self.0.on_event(*icount, event);
-        }
     }
 }
 
@@ -104,7 +80,7 @@ pub struct IngestData {
     /// recovers the committed prefix of an ingest killed mid-write, so
     /// it is at most `events` and at least the crash-time commit
     /// watermark.
-    pub decoded: [u64; 5],
+    pub decoded: [u64; 4],
     /// Events the writer had durably committed when the faulted ingest
     /// was killed (the floor for `decoded[store-faulted]`).
     pub faulted_committed: u64,
@@ -181,22 +157,8 @@ pub fn compute() -> Result<IngestData, SpmError> {
         .finish()
         .map_err(|e| analysis_error("ingest/pack-compressed", e))?;
 
-    // Legacy path: batched decode, but one virtual call per event at
-    // the observer boundary.
-    let (store_path, mut reader) = opened_store("plain", &store_buf)?;
-    let store_decoded = timed_decode("store", packed.events, || {
-        let mut count = Count(0);
-        let mut per_event = PerEvent(&mut count);
-        let report = reader
-            .replay(&mut [&mut per_event])
-            .map_err(|e| analysis_error("ingest/store", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
-
     // Production path: whole blocks delivered per observer call.
-    let mut reader =
-        StoreReader::open(&store_path).map_err(|e| analysis_error("ingest/store-batch", e))?;
+    let (store_path, mut reader) = opened_store("plain", &store_buf)?;
     let batch_decoded = timed_decode("store-batch", packed.events, || {
         let mut count = Count(0);
         let report = reader
@@ -266,7 +228,6 @@ pub fn compute() -> Result<IngestData, SpmError> {
         compressed_bytes: lz_packed.file_bytes,
         blocks: packed.blocks,
         decoded: [
-            store_decoded,
             batch_decoded,
             par_decoded,
             compressed_decoded,

@@ -125,10 +125,8 @@ impl BankTimeline {
         let (b, e) = (self.index_of(begin), self.index_of(end));
         self.access_snaps[e] - self.access_snaps[b]
     }
-}
 
-impl TraceObserver for BankTimeline {
-    fn on_event(&mut self, _icount: u64, event: &TraceEvent) {
+    fn step(&mut self, event: &TraceEvent) {
         match *event {
             TraceEvent::BlockExec { instrs, .. } => {
                 if self.instrs >= self.next_boundary {
@@ -145,6 +143,14 @@ impl TraceObserver for BankTimeline {
                 self.snapshot();
             }
             _ => {}
+        }
+    }
+}
+
+impl TraceObserver for BankTimeline {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (_, event) in batch {
+            self.step(event);
         }
     }
 }

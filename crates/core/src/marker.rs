@@ -254,10 +254,6 @@ impl<'m> MarkerRuntime<'m> {
 }
 
 impl TraceObserver for MarkerRuntime<'_> {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.step(icount, event);
-    }
-
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
         for (icount, event) in batch {
             self.step(*icount, event);

@@ -275,10 +275,6 @@ impl CallLoopProfiler {
 }
 
 impl TraceObserver for CallLoopProfiler {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.step(icount, event);
-    }
-
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
         for (icount, event) in batch {
             self.step(*icount, event);

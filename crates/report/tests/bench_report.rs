@@ -21,8 +21,9 @@ fn committed_bench_report_validates() {
 
 #[test]
 fn committed_bench_report_carries_no_history_or_retired_decoders() {
-    // History lives in the corpus (`spm corpus query trajectory`), and
-    // the flat trace decoder no longer exists.
+    // History lives in the corpus (`spm corpus query trajectory`), the
+    // flat trace decoder no longer exists, and neither does the
+    // per-event `store` row (every producer delivers batches).
     let text = committed_report();
     assert!(
         !text.contains("\"trajectory\""),
@@ -31,6 +32,10 @@ fn committed_bench_report_carries_no_history_or_retired_decoders() {
     assert!(
         !text.contains("\"name\": \"flat\""),
         "stale flat decoder row"
+    );
+    assert!(
+        !text.contains("\"name\": \"store\","),
+        "stale per-event store decoder row"
     );
 }
 

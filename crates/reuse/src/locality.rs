@@ -93,10 +93,8 @@ impl ReuseSignalCollector {
         self.in_window = 0;
         self.window_start = self.last_icount;
     }
-}
 
-impl TraceObserver for ReuseSignalCollector {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+    fn step(&mut self, icount: u64, event: &TraceEvent) {
         match *event {
             TraceEvent::MemAccess { addr, .. } => {
                 let value = match self.tracker.access(addr) {
@@ -117,6 +115,14 @@ impl TraceObserver for ReuseSignalCollector {
             }
             TraceEvent::Finish => self.close_window(),
             _ => {}
+        }
+    }
+}
+
+impl TraceObserver for ReuseSignalCollector {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self.step(*icount, event);
         }
     }
 }
@@ -357,10 +363,8 @@ impl ReuseMarkerRuntime {
     pub fn into_firings(self) -> Vec<MarkerFiring> {
         self.firings
     }
-}
 
-impl TraceObserver for ReuseMarkerRuntime {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+    fn step(&mut self, icount: u64, event: &TraceEvent) {
         if let TraceEvent::BlockExec { block, instrs, .. } = *event {
             if let Some(&marker) = self.index.get(&block) {
                 self.firings.push(MarkerFiring {
@@ -368,6 +372,14 @@ impl TraceObserver for ReuseMarkerRuntime {
                     marker,
                 });
             }
+        }
+    }
+}
+
+impl TraceObserver for ReuseMarkerRuntime {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self.step(*icount, event);
         }
     }
 }

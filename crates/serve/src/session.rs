@@ -439,10 +439,6 @@ fn replay_generation(
         icount: u64,
     }
     impl TraceObserver for PerBlock<'_> {
-        fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-            self.on_batch(&[(icount, *event)]);
-        }
-
         fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
             self.selector.update(batch);
             self.events += batch.len() as u64;

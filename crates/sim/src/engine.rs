@@ -4,7 +4,7 @@
 use crate::events::{TraceEvent, TraceObserver};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spm_ir::{AccessPattern, Block, Cond, Input, Procedure, Program, Stmt, Trip};
+use spm_ir::{AccessPattern, Block, Cond, Input, Program, Stmt, Trip};
 use std::fmt;
 
 /// Maximum procedure-call nesting depth. Calls beyond this depth are
@@ -15,6 +15,12 @@ pub const MAX_CALL_DEPTH: usize = 200;
 /// Region base addresses are spaced this far apart; a region larger than
 /// this is rejected.
 const REGION_SPACING: u64 = 1 << 28;
+
+/// Events buffered between hand-offs to the observers. At 32 bytes an
+/// event the arena is 32 KiB — small next to any analysis' own state,
+/// yet long enough that delivery costs one virtual call per observer
+/// per thousand events.
+const ARENA_EVENTS: usize = 1024;
 
 /// Aggregate counts for one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,6 +66,11 @@ impl std::error::Error for RunError {}
 /// Executes `program` under `input`, streaming every [`TraceEvent`] to
 /// all `observers` in order, and returns aggregate counts.
 ///
+/// Events collect in one reusable arena of private, fixed capacity; each
+/// time it fills, and once after [`TraceEvent::Finish`], the arena is
+/// handed to every observer's [`on_batch`](TraceObserver::on_batch) —
+/// the same delivery `spm-store` replay and the serve analyzer use.
+///
 /// Execution is fully deterministic: the same program and input (same
 /// seed) produce the identical event stream on every run — the property
 /// the two-pass analyses (profile, then re-run with markers) rely on.
@@ -99,9 +110,10 @@ pub fn run(
     observers: &mut [&mut dyn TraceObserver],
 ) -> Result<RunSummary, RunError> {
     let mut span = spm_obs::span("sim/run");
-    let mut engine = Engine::new(program, input)?;
-    engine.exec_proc(program.proc(program.entry()), observers, 0);
-    engine.emit(observers, TraceEvent::Finish);
+    let mut engine = Engine::new(program, input, observers)?;
+    engine.exec_stmts(&program.proc(program.entry()).body, 0);
+    engine.emit(TraceEvent::Finish);
+    engine.flush();
     if span.is_live() {
         span.field("program", program.name());
         span.field("instrs", engine.summary.instrs);
@@ -114,9 +126,12 @@ pub fn run(
     Ok(engine.summary)
 }
 
-struct Engine<'p> {
+struct Engine<'p, 'o, 'a> {
     program: &'p Program,
     input: &'p Input,
+    observers: &'o mut [&'a mut dyn TraceObserver],
+    /// Events not yet delivered, in order (at most [`ARENA_EVENTS`]).
+    arena: Vec<(u64, TraceEvent)>,
     rng: SmallRng,
     icount: u64,
     region_base: Vec<u64>,
@@ -133,8 +148,12 @@ struct Engine<'p> {
     summary: RunSummary,
 }
 
-impl<'p> Engine<'p> {
-    fn new(program: &'p Program, input: &'p Input) -> Result<Self, RunError> {
+impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
+    fn new(
+        program: &'p Program,
+        input: &'p Input,
+        observers: &'o mut [&'a mut dyn TraceObserver],
+    ) -> Result<Self, RunError> {
         let mut region_base = Vec::with_capacity(program.regions().len());
         let mut region_size = Vec::with_capacity(program.regions().len());
         for (i, region) in program.regions().iter().enumerate() {
@@ -177,6 +196,8 @@ impl<'p> Engine<'p> {
         Ok(Self {
             program,
             input,
+            observers,
+            arena: Vec::with_capacity(ARENA_EVENTS),
             rng: SmallRng::seed_from_u64(input.seed() ^ 0x5eed_cafe_f00d_u64),
             icount: 0,
             region_base,
@@ -189,40 +210,39 @@ impl<'p> Engine<'p> {
         })
     }
 
-    fn emit(&mut self, observers: &mut [&mut dyn TraceObserver], event: TraceEvent) {
+    fn emit(&mut self, event: TraceEvent) {
         self.events += 1;
-        for obs in observers.iter_mut() {
-            obs.on_event(self.icount, &event);
+        self.arena.push((self.icount, event));
+        if self.arena.len() == ARENA_EVENTS {
+            self.flush();
         }
     }
 
-    fn exec_proc(
-        &mut self,
-        proc: &'p Procedure,
-        observers: &mut [&mut dyn TraceObserver],
-        depth: usize,
-    ) {
-        self.exec_stmts(&proc.body, observers, depth);
+    /// Hands the buffered events to every observer and empties the
+    /// arena; never delivers an empty batch.
+    fn flush(&mut self) {
+        if self.arena.is_empty() {
+            return;
+        }
+        for obs in self.observers.iter_mut() {
+            obs.on_batch(&self.arena);
+        }
+        self.arena.clear();
     }
 
-    fn exec_stmts(
-        &mut self,
-        stmts: &'p [Stmt],
-        observers: &mut [&mut dyn TraceObserver],
-        depth: usize,
-    ) {
+    fn exec_stmts(&mut self, stmts: &'p [Stmt], depth: usize) {
         for stmt in stmts {
             match stmt {
-                Stmt::Block(block) => self.exec_block(block, observers),
+                Stmt::Block(block) => self.exec_block(block),
                 Stmt::Loop(l) => {
                     let trip = self.draw_trip(&l.trip);
-                    self.emit(observers, TraceEvent::LoopEnter { loop_id: l.id });
+                    self.emit(TraceEvent::LoopEnter { loop_id: l.id });
                     for _ in 0..trip {
                         self.summary.loop_iters += 1;
-                        self.emit(observers, TraceEvent::LoopIter { loop_id: l.id });
-                        self.exec_stmts(&l.body, observers, depth);
+                        self.emit(TraceEvent::LoopIter { loop_id: l.id });
+                        self.exec_stmts(&l.body, depth);
                     }
-                    self.emit(observers, TraceEvent::LoopExit { loop_id: l.id });
+                    self.emit(TraceEvent::LoopExit { loop_id: l.id });
                 }
                 Stmt::Call(call) => {
                     if depth >= MAX_CALL_DEPTH {
@@ -230,51 +250,42 @@ impl<'p> Engine<'p> {
                         continue;
                     }
                     self.summary.calls += 1;
-                    self.emit(observers, TraceEvent::Call { proc: call.target });
+                    self.emit(TraceEvent::Call { proc: call.target });
                     let callee = self.program.proc(call.target);
-                    self.exec_proc(callee, observers, depth + 1);
-                    self.emit(observers, TraceEvent::Return { proc: call.target });
+                    self.exec_stmts(&callee.body, depth + 1);
+                    self.emit(TraceEvent::Return { proc: call.target });
                 }
                 Stmt::If(i) => {
                     let taken = self.eval_cond(&i.cond, i.id.index());
-                    self.emit(
-                        observers,
-                        TraceEvent::Branch {
-                            branch: i.id,
-                            taken,
-                        },
-                    );
+                    self.emit(TraceEvent::Branch {
+                        branch: i.id,
+                        taken,
+                    });
                     let body = if taken { &i.then_body } else { &i.else_body };
-                    self.exec_stmts(body, observers, depth);
+                    self.exec_stmts(body, depth);
                 }
             }
         }
     }
 
-    fn exec_block(&mut self, block: &Block, observers: &mut [&mut dyn TraceObserver]) {
+    fn exec_block(&mut self, block: &Block) {
         self.icount += block.instrs as u64;
         self.summary.instrs += block.instrs as u64;
         self.summary.blocks += 1;
-        self.emit(
-            observers,
-            TraceEvent::BlockExec {
-                block: block.id,
-                instrs: block.instrs,
-                base_cpi: block.base_cpi,
-            },
-        );
+        self.emit(TraceEvent::BlockExec {
+            block: block.id,
+            instrs: block.instrs,
+            base_cpi: block.base_cpi,
+        });
         for (j, mem) in block.mem.iter().enumerate() {
             let cursor_idx = self.cursor_base[block.id.index()] as usize + j;
             for _ in 0..mem.count {
                 let addr = self.next_addr(mem.region.index(), mem.pattern, cursor_idx);
                 self.summary.mem_accesses += 1;
-                self.emit(
-                    observers,
-                    TraceEvent::MemAccess {
-                        addr,
-                        write: mem.write,
-                    },
-                );
+                self.emit(TraceEvent::MemAccess {
+                    addr,
+                    write: mem.write,
+                });
             }
         }
     }
@@ -360,18 +371,6 @@ mod tests {
     use super::*;
     use spm_ir::ProgramBuilder;
 
-    /// Records the full event stream for assertions.
-    #[derive(Default)]
-    struct Recorder {
-        events: Vec<(u64, TraceEvent)>,
-    }
-
-    impl TraceObserver for Recorder {
-        fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-            self.events.push((icount, *event));
-        }
-    }
-
     fn simple_program() -> Program {
         let mut b = ProgramBuilder::new("t");
         let r = b.region_bytes("d", 1 << 12);
@@ -391,7 +390,7 @@ mod tests {
     #[test]
     fn event_stream_structure() {
         let program = simple_program();
-        let mut rec = Recorder::default();
+        let mut rec: Vec<(u64, TraceEvent)> = Vec::new();
         let summary = run(&program, &Input::new("x", 3), &mut [&mut rec]).unwrap();
         assert_eq!(summary.instrs, 10 + 2 * (20 + 5));
         assert_eq!(summary.blocks, 1 + 2 * 2);
@@ -400,7 +399,6 @@ mod tests {
         assert_eq!(summary.loop_iters, 2);
 
         let kinds: Vec<&'static str> = rec
-            .events
             .iter()
             .map(|(_, e)| match e {
                 TraceEvent::BlockExec { .. } => "block",
@@ -426,25 +424,83 @@ mod tests {
     #[test]
     fn icount_is_monotone_and_final() {
         let program = simple_program();
-        let mut rec = Recorder::default();
+        let mut rec: Vec<(u64, TraceEvent)> = Vec::new();
         let summary = run(&program, &Input::new("x", 3), &mut [&mut rec]).unwrap();
         let mut prev = 0;
-        for (icount, _) in &rec.events {
+        for (icount, _) in &rec {
             assert!(*icount >= prev);
             prev = *icount;
         }
-        assert_eq!(rec.events.last().unwrap().0, summary.instrs);
+        assert_eq!(rec.last().unwrap().0, summary.instrs);
     }
 
     #[test]
     fn execution_is_deterministic() {
         let program = simple_program();
         let input = Input::new("x", 99);
-        let mut a = Recorder::default();
-        let mut b = Recorder::default();
+        let mut a: Vec<(u64, TraceEvent)> = Vec::new();
+        let mut b: Vec<(u64, TraceEvent)> = Vec::new();
         run(&program, &input, &mut [&mut a]).unwrap();
         run(&program, &input, &mut [&mut b]).unwrap();
-        assert_eq!(a.events, b.events);
+        assert_eq!(a, b);
+    }
+
+    /// Records the sizes of the batches it is handed, and the stream.
+    #[derive(Default)]
+    struct Batches {
+        sizes: Vec<usize>,
+        events: Vec<(u64, TraceEvent)>,
+    }
+
+    impl TraceObserver for Batches {
+        fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+            self.sizes.push(batch.len());
+            self.events.extend_from_slice(batch);
+        }
+    }
+
+    #[test]
+    fn arena_batches_reach_every_observer_alike() {
+        // 400 iterations of block + 4 accesses + call/block/return: about
+        // 3,200 events, several arenas' worth, ending mid-arena.
+        let mut b = ProgramBuilder::new("t");
+        let r = b.region_bytes("d", 1 << 12);
+        b.proc("main", |p| {
+            p.loop_(Trip::Fixed(400), |body| {
+                body.block(3).rand_read(r, 4).done();
+                body.call("leaf");
+            });
+        });
+        b.proc("leaf", |p| p.block(2).done());
+        let program = b.build("main").unwrap();
+
+        let mut batches = Batches::default();
+        let mut seen: Vec<(u64, TraceEvent)> = Vec::new();
+        let summary = {
+            let mut closure = |icount: u64, ev: &TraceEvent| seen.push((icount, *ev));
+            run(
+                &program,
+                &Input::new("x", 4),
+                &mut [&mut batches, &mut closure],
+            )
+            .unwrap()
+        };
+
+        // LoopEnter/LoopExit, one LoopIter per iteration, Call + Return
+        // per call, one event per block and access, and Finish.
+        let implied =
+            summary.blocks + summary.mem_accesses + summary.loop_iters + 2 * summary.calls + 2 + 1;
+        assert!(implied as usize > 3 * ARENA_EVENTS);
+        assert_eq!(batches.events.len() as u64, implied);
+        assert_eq!(batches.events, seen, "observers saw different streams");
+        assert!(batches.events.windows(2).all(|w| w[0].0 <= w[1].0));
+        let finishes: Vec<usize> = (0..seen.len())
+            .filter(|&i| seen[i].1 == TraceEvent::Finish)
+            .collect();
+        assert_eq!(finishes, vec![seen.len() - 1], "Finish last, exactly once");
+        assert_eq!(seen.last().unwrap().0, summary.instrs);
+        assert!(batches.sizes.len() > 1);
+        assert!(batches.sizes.iter().all(|&n| n > 0 && n <= ARENA_EVENTS));
     }
 
     #[test]

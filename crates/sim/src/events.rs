@@ -5,7 +5,7 @@ use spm_ir::{BlockId, BranchId, LoopId, ProcId};
 /// One event in the execution trace.
 ///
 /// Events are delivered in program order together with the instruction
-/// count *after* the event (see [`TraceObserver::on_event`]). Only
+/// count *after* the event (see [`TraceObserver::on_batch`]). Only
 /// [`BlockExec`](TraceEvent::BlockExec) advances the instruction count;
 /// control constructs (calls, loops, branches) are instantaneous, so the
 /// instruction totals seen by every analysis agree exactly with the sum
@@ -68,36 +68,39 @@ pub enum TraceEvent {
 /// Consumes the trace stream of one execution.
 ///
 /// Implementations are the reproduction's equivalent of ATOM analysis
-/// routines; several observers are driven from a single pass.
+/// routines; several observers are driven from a single pass. Every
+/// producer — the engine ([`run`](crate::run)), `spm-store` replay and
+/// the serve analyzer — delivers the stream as consecutive batches, so
+/// [`on_batch`](TraceObserver::on_batch) is the one method an observer
+/// implements.
 pub trait TraceObserver {
-    /// Called for every event, with `icount` = total instructions
-    /// executed up to and including this event.
-    fn on_event(&mut self, icount: u64, event: &TraceEvent);
+    /// Delivers a run of consecutive events, each paired with `icount`
+    /// = total instructions executed up to and including that event.
+    ///
+    /// Batch boundaries carry no meaning: producers cut the stream
+    /// wherever their buffers fill (an engine arena, a store block), so
+    /// an observer must end in the same state however the stream is
+    /// split. Implementations iterate the slice with static dispatch —
+    /// one virtual call per batch, not per event.
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]);
 
-    /// Delivers a run of consecutive events in one call.
+    /// Delivers one event: a one-element [`on_batch`]. Kept for callers
+    /// that hold events one at a time (unit tests, wrappers forwarding
+    /// a perturbed stream); observers do not implement it.
     ///
-    /// Batch delivery is an optimization, not a semantic change: the
-    /// default implementation forwards to [`on_event`] in order, so
-    /// `on_batch(batch)` must leave the observer in exactly the state
-    /// that delivering each event individually would. Hot-path decoders
-    /// (the `spm-store` block replay) call this once per decoded block;
-    /// even without an override it collapses per-event virtual dispatch
-    /// into one virtual call per batch, and observers with a hot inner
-    /// loop override it to iterate with static dispatch.
-    ///
-    /// [`on_event`]: TraceObserver::on_event
-    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
-        for (icount, event) in batch {
-            self.on_event(*icount, event);
-        }
+    /// [`on_batch`]: TraceObserver::on_batch
+    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+        self.on_batch(std::slice::from_ref(&(icount, *event)));
     }
 }
 
 /// Blanket implementation so plain closures can observe traces in tests
-/// and examples.
+/// and examples: the closure sees the stream one event at a time.
 impl<F: FnMut(u64, &TraceEvent)> TraceObserver for F {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self(icount, event)
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self(*icount, event);
+        }
     }
 }
 
@@ -105,10 +108,6 @@ impl<F: FnMut(u64, &TraceEvent)> TraceObserver for F {
 /// `(icount, event)` pair in order, the one event collector tests,
 /// benches, and stream re-encoders share.
 impl TraceObserver for Vec<(u64, TraceEvent)> {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.push((icount, *event));
-    }
-
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
         self.extend_from_slice(batch);
     }
@@ -149,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_delivery_forwards_in_order() {
+    fn closure_batches_are_seen_in_order() {
         let mut seen = Vec::new();
         {
             let mut obs = |icount: u64, ev: &TraceEvent| {

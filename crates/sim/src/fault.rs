@@ -106,10 +106,8 @@ impl<'a, T: TraceObserver> FaultObserver<'a, T> {
     fn hit(&mut self, one_in: u32) -> bool {
         self.rng.below(u64::from(one_in.max(1))) == 0
     }
-}
 
-impl<T: TraceObserver> TraceObserver for FaultObserver<'_, T> {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+    fn step(&mut self, icount: u64, event: &TraceEvent) {
         match (self.kind, event) {
             (FaultKind::DropReturns { one_in }, TraceEvent::Return { .. }) if self.hit(one_in) => {
                 self.injected += 1; // swallowed
@@ -127,6 +125,14 @@ impl<T: TraceObserver> TraceObserver for FaultObserver<'_, T> {
                 self.inner.on_event(icount, event);
             }
             _ => self.inner.on_event(icount, event),
+        }
+    }
+}
+
+impl<T: TraceObserver> TraceObserver for FaultObserver<'_, T> {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self.step(*icount, event);
         }
     }
 }
@@ -189,13 +195,15 @@ mod tests {
     }
 
     impl TraceObserver for Counter {
-        fn on_event(&mut self, _icount: u64, event: &TraceEvent) {
-            self.total += 1;
-            match event {
-                TraceEvent::Return { .. } => self.returns += 1,
-                TraceEvent::LoopIter { .. } => self.iters += 1,
-                TraceEvent::LoopExit { .. } => self.exits += 1,
-                _ => {}
+        fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+            for (_, event) in batch {
+                self.total += 1;
+                match event {
+                    TraceEvent::Return { .. } => self.returns += 1,
+                    TraceEvent::LoopIter { .. } => self.iters += 1,
+                    TraceEvent::LoopExit { .. } => self.exits += 1,
+                    _ => {}
+                }
             }
         }
     }
@@ -256,6 +264,31 @@ mod tests {
         let (b, ib) = run_with_fault(FaultKind::DropReturns { one_in: 4 }, 42);
         assert_eq!(ia, ib);
         assert_eq!(a.total, b.total);
+    }
+
+    #[test]
+    fn batched_and_per_event_delivery_inject_the_same_faults() {
+        let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
+        run(&program(), &Input::new("x", 1), &mut [&mut tape]).unwrap();
+        for kind in [
+            FaultKind::DropReturns { one_in: 3 },
+            FaultKind::DuplicateLoopIters { one_in: 3 },
+            FaultKind::DropLoopExits { one_in: 1 },
+        ] {
+            let mut batched: Vec<(u64, TraceEvent)> = Vec::new();
+            let mut faulty = FaultObserver::new(&mut batched, kind, 11);
+            faulty.on_batch(&tape);
+            let batched_injected = faulty.injected();
+
+            let mut single: Vec<(u64, TraceEvent)> = Vec::new();
+            let mut faulty = FaultObserver::new(&mut single, kind, 11);
+            for (icount, event) in &tape {
+                faulty.on_event(*icount, event);
+            }
+            assert!(batched_injected > 0, "{kind:?} injected nothing");
+            assert_eq!(batched_injected, faulty.injected(), "{kind:?}");
+            assert_eq!(batched, single, "{kind:?}");
+        }
     }
 
     /// The program's event stream as raw codec bytes.

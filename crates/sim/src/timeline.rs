@@ -208,10 +208,8 @@ impl Timeline {
             mispredicts: self.timing.mispredicts(),
         });
     }
-}
 
-impl TraceObserver for Timeline {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+    fn step(&mut self, event: &TraceEvent) {
         // Snapshot lazily, *before* the next block starts, so that all
         // memory/branch events belonging to the block that crossed the
         // boundary are attributed to the snapshot.
@@ -221,10 +219,18 @@ impl TraceObserver for Timeline {
             self.snapshot();
             self.next_boundary = (self.timing.instrs() / self.granule + 1) * self.granule;
         }
-        self.timing.on_event(icount, event);
+        self.timing.step(event);
         if matches!(event, TraceEvent::Finish) && !self.finished {
             self.finished = true;
             self.snapshot();
+        }
+    }
+}
+
+impl TraceObserver for Timeline {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (_, event) in batch {
+            self.step(event);
         }
     }
 }

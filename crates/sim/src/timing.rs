@@ -225,16 +225,9 @@ impl TimingModel {
         }
         predicted_taken == taken
     }
-}
 
-impl Default for TimingModel {
-    fn default() -> Self {
-        Self::new(TimingConfig::default())
-    }
-}
-
-impl TraceObserver for TimingModel {
-    fn on_event(&mut self, _icount: u64, event: &TraceEvent) {
+    /// Charges one event's cycles.
+    pub(crate) fn step(&mut self, event: &TraceEvent) {
         match *event {
             TraceEvent::BlockExec {
                 block,
@@ -276,6 +269,20 @@ impl TraceObserver for TimingModel {
                 }
             }
             _ => {}
+        }
+    }
+}
+
+impl Default for TimingModel {
+    fn default() -> Self {
+        Self::new(TimingConfig::default())
+    }
+}
+
+impl TraceObserver for TimingModel {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (_, event) in batch {
+            self.step(event);
         }
     }
 }

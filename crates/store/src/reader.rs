@@ -554,7 +554,7 @@ impl<R: Read + Seek> StoreReader<R> {
         let compression = self.info.compression;
         // One arena reused across every block: decode allocates once
         // for the whole replay, and delivery is one `on_batch` call
-        // per observer per block instead of one virtual call per event.
+        // per observer per block.
         let mut arena: Vec<(u64, TraceEvent)> = Vec::new();
         if let Some(map) = &self.mapped {
             // Zero-copy path: payloads are verified and decoded
@@ -563,16 +563,9 @@ impl<R: Read + Seek> StoreReader<R> {
             for block in first_block..self.index.len() {
                 let meta = self.index[block];
                 let decoded = mapped_block(data, meta)
-                    .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena));
-                deliver_decoded(
-                    &mut report,
-                    block as u64,
-                    meta,
-                    &arena,
-                    min_seq,
-                    observers,
-                    decoded,
-                );
+                    .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena))
+                    .map(|()| arena.as_slice());
+                deliver_decoded(&mut report, block as u64, meta, decoded, min_seq, observers);
             }
         } else {
             let mut scratch: Vec<u8> = Vec::new();
@@ -580,16 +573,9 @@ impl<R: Read + Seek> StoreReader<R> {
                 let meta = self.index[block];
                 let decoded = self
                     .read_block_into(block, &mut scratch)
-                    .and_then(|()| decode_block_into(&scratch, meta, compression, &mut arena));
-                deliver_decoded(
-                    &mut report,
-                    block as u64,
-                    meta,
-                    &arena,
-                    min_seq,
-                    observers,
-                    decoded,
-                );
+                    .and_then(|()| decode_block_into(&scratch, meta, compression, &mut arena))
+                    .map(|()| arena.as_slice());
+                deliver_decoded(&mut report, block as u64, meta, decoded, min_seq, observers);
             }
         }
         finish_replay_span(&mut span, &report);
@@ -640,7 +626,8 @@ impl<R: Read + Seek> StoreReader<R> {
                         .and_then(|payload| decode_block(payload, *meta, compression))
                 });
                 for ((b, meta), events) in (block..upper).zip(metas).zip(decoded) {
-                    deliver_par(&mut report, b as u64, *meta, observers, events);
+                    let events = events.as_deref().map_err(|e| *e);
+                    deliver_decoded(&mut report, b as u64, *meta, events, 0, observers);
                 }
                 block = upper;
             }
@@ -661,7 +648,8 @@ impl<R: Read + Seek> StoreReader<R> {
                 });
                 // In-order delivery.
                 for ((b, meta, _), events) in payloads.iter().zip(decoded) {
-                    deliver_par(&mut report, *b, *meta, observers, events);
+                    let events = events.as_deref().map_err(|e| *e);
+                    deliver_decoded(&mut report, *b, *meta, events, 0, observers);
                 }
                 block = upper;
             }
@@ -774,18 +762,19 @@ pub fn decode_block(
 
 /// Delivers one decoded block as a batch (skipping events with
 /// sequence number below `min_seq`), or records the skip if decoding
-/// failed.
+/// failed. Every replay path ends here: the sequential ones pass their
+/// reused arena, the parallel one each worker's owned block with
+/// `min_seq = 0`.
 fn deliver_decoded(
     report: &mut StoreReplayReport,
     block: u64,
     meta: BlockMeta,
-    arena: &[(u64, TraceEvent)],
+    decoded: Result<&[(u64, TraceEvent)], DecodeError>,
     min_seq: u64,
     observers: &mut [&mut dyn TraceObserver],
-    decoded: Result<(), DecodeError>,
 ) {
     match decoded {
-        Ok(()) => {
+        Ok(arena) => {
             let skip = min_seq
                 .saturating_sub(meta.first_seq)
                 .min(arena.len() as u64) as usize;
@@ -794,26 +783,6 @@ fn deliver_decoded(
                 obs.on_batch(batch);
             }
             report.events += batch.len() as u64;
-            report.blocks += 1;
-        }
-        Err(error) => skip_block(report, block, meta, error),
-    }
-}
-
-/// In-order delivery for the parallel path: one batch per block.
-fn deliver_par(
-    report: &mut StoreReplayReport,
-    block: u64,
-    meta: BlockMeta,
-    observers: &mut [&mut dyn TraceObserver],
-    events: Result<Vec<(u64, TraceEvent)>, DecodeError>,
-) {
-    match events {
-        Ok(events) => {
-            for obs in observers.iter_mut() {
-                obs.on_batch(&events);
-            }
-            report.events += events.len() as u64;
             report.blocks += 1;
         }
         Err(error) => skip_block(report, block, meta, error),

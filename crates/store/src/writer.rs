@@ -430,10 +430,8 @@ impl<S: StoreIo> StoreWriter<S> {
             sink: self.sink,
         }
     }
-}
 
-impl<S: StoreIo> TraceObserver for StoreWriter<S> {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+    fn step(&mut self, icount: u64, event: &TraceEvent) {
         let delta = icount.saturating_sub(self.last_icount);
         self.last_icount = self.last_icount.max(icount);
         encode_event(&mut self.block, delta, event);
@@ -442,6 +440,14 @@ impl<S: StoreIo> TraceObserver for StoreWriter<S> {
         // Flush on budget; u32 framing also caps events per block.
         if self.block.len() >= self.budget || self.block_events == u32::MAX {
             self.flush_block();
+        }
+    }
+}
+
+impl<S: StoreIo> TraceObserver for StoreWriter<S> {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self.step(*icount, event);
         }
     }
 }

@@ -18,10 +18,6 @@ struct BatchCollect {
 }
 
 impl TraceObserver for BatchCollect {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
-        self.events.push((icount, *event));
-    }
-
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
         self.batches += 1;
         self.events.extend_from_slice(batch);
@@ -383,7 +379,7 @@ fn compressed_store_round_trips_and_shrinks() {
 fn batch_delivery_is_identical_to_per_event_delivery() {
     for pack_fn in [pack, pack_compressed] {
         let (bytes, flat) = pack_fn(512, 23);
-        // A closure observer keeps the default per-event `on_batch`.
+        // A closure observer sees the stream one event at a time.
         let mut per_event = Vec::new();
         let mut per_event_obs = |icount: u64, event: &TraceEvent| per_event.push((icount, *event));
         let mut batched = BatchCollect::default();

@@ -25,8 +25,8 @@ struct Recorder<'m> {
     snaps: Vec<(u64, u64, Vec<u64>)>,
 }
 
-impl TraceObserver for Recorder<'_> {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+impl Recorder<'_> {
+    fn step(&mut self, icount: u64, event: &TraceEvent) {
         let before = self.runtime.firings().len();
         self.runtime.on_event(icount, event);
         if self.runtime.firings().len() != before || matches!(event, TraceEvent::Finish) {
@@ -37,6 +37,14 @@ impl TraceObserver for Recorder<'_> {
             TraceEvent::MemAccess { addr, write } => self.bank.access(addr, write),
             TraceEvent::BlockExec { instrs, .. } => self.instrs += u64::from(instrs),
             _ => {}
+        }
+    }
+}
+
+impl TraceObserver for Recorder<'_> {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self.step(*icount, event);
         }
     }
 }

@@ -160,8 +160,8 @@ struct Checker {
     finished: bool,
 }
 
-impl TraceObserver for Checker {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+impl Checker {
+    fn step(&mut self, icount: u64, event: &TraceEvent) {
         assert!(icount >= self.last);
         assert!(!self.finished);
         self.last = icount;
@@ -177,6 +177,14 @@ impl TraceObserver for Checker {
                 self.finished = true;
             }
             _ => {}
+        }
+    }
+}
+
+impl TraceObserver for Checker {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self.step(*icount, event);
         }
     }
 }

@@ -20,8 +20,8 @@ struct NestingChecker {
     in_iteration: Vec<bool>,
 }
 
-impl TraceObserver for NestingChecker {
-    fn on_event(&mut self, icount: u64, event: &TraceEvent) {
+impl NestingChecker {
+    fn step(&mut self, icount: u64, event: &TraceEvent) {
         assert!(icount >= self.last_icount, "icount must be monotone");
         assert!(!self.finished, "no events after Finish");
         self.last_icount = icount;
@@ -69,6 +69,14 @@ impl TraceObserver for NestingChecker {
                 assert!(self.stack.is_empty(), "events still open at Finish");
                 self.finished = true;
             }
+        }
+    }
+}
+
+impl TraceObserver for NestingChecker {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (icount, event) in batch {
+            self.step(*icount, event);
         }
     }
 }
