@@ -1,13 +1,12 @@
 //! Regenerates every figure, writing one file per figure under
 //! `results/` (used to populate EXPERIMENTS.md), plus the one bench
-//! artifact `results/BENCH_report.json` (`spm-bench/report/v8`, the
+//! artifact `results/BENCH_report.json` (`spm-bench/report/v9`, the
 //! schema `spm_report::bench::validate_bench_report` checks): the wall
 //! time of every suite run, per-figure median/min/total across
-//! `--repeat` runs, suite-wide simulation throughput, per-decoder
-//! ingest throughput from the `spmstk01` store figure, and the
-//! statistical-profiler summary of the first timed run (suite-level
-//! sampling and allocation totals plus per-figure samples, heap
-//! traffic, and peak RSS).
+//! `--repeat` runs, and the statistical-profiler summary of the first
+//! timed run (suite-level sampling and allocation totals plus
+//! per-figure samples, heap traffic, and peak RSS). Throughput per
+//! layer is not measured here: `perfbench` is the one ledger for it.
 //!
 //! Flags:
 //!
@@ -180,23 +179,14 @@ fn field_str<'a>(event: &'a spm_obs::Event, key: &str) -> Option<&'a str> {
 /// Runs the whole suite once at the given worker count under the
 /// always-on profiler, capturing the top-level `bench/<figure>` spans
 /// (nested pipeline spans would swamp the artifact; worker-thread spans
-/// carry no `bench/` prefix), every simulation-throughput gauge, the
-/// per-decoder `ingest/<decoder>_events_per_sec` gauges, and the
-/// profiler's per-figure attribution for the report. With a
-/// `profile` path the run's full event stream is additionally written
-/// as schema-v2 JSONL.
-#[allow(clippy::type_complexity)]
+/// carry no `bench/` prefix) and the profiler's per-figure attribution
+/// for the report. With a `profile` path the run's full event stream is
+/// additionally written as schema-v2 JSONL.
 fn run_once(
     jobs: usize,
     sample_hz: u32,
     profile: Option<&str>,
-) -> (
-    Vec<(&'static str, String)>,
-    RunTiming,
-    Vec<f64>,
-    Vec<(String, f64)>,
-    SuiteProfile,
-) {
+) -> (Vec<(&'static str, String)>, RunTiming, SuiteProfile) {
     spm_par::set_default_jobs(jobs);
     let sink = Arc::new(spm_obs::MemorySink::new());
     match profile {
@@ -219,8 +209,6 @@ fn run_once(
 
     let mut total_us = 0;
     let mut spans = Vec::new();
-    let mut events_per_sec = Vec::new();
-    let mut ingest = Vec::new();
     let mut fig_profiles: Vec<(String, FigProfile)> = Vec::new();
     let mut sampled: Vec<(String, u64)> = Vec::new();
     let mut peak_rss: Vec<(String, u64)> = Vec::new();
@@ -249,20 +237,6 @@ fn run_once(
                 if let Some(stage) = field_str(&event, "stage") {
                     peak_rss.push((stage.to_string(), field_u64(&event, "peak_rss_kb")));
                 }
-            }
-            spm_obs::EventKind::Gauge { value }
-                if event.name == "sim/events_per_sec" && value.is_finite() =>
-            {
-                events_per_sec.push(value);
-            }
-            spm_obs::EventKind::Gauge { value }
-                if event.name.starts_with("ingest/")
-                    && event.name.ends_with("_events_per_sec")
-                    && value.is_finite() =>
-            {
-                let decoder =
-                    &event.name["ingest/".len()..event.name.len() - "_events_per_sec".len()];
-                ingest.push((decoder.to_string(), value));
             }
             _ => {}
         }
@@ -303,8 +277,6 @@ fn run_once(
             total_us,
             figures: spans,
         },
-        events_per_sec,
-        ingest,
         suite_profile,
     )
 }
@@ -350,49 +322,6 @@ fn figure_stats(samples: &[RunTiming]) -> Vec<FigureStat> {
         .collect()
 }
 
-/// Lower-middle median of an unsorted throughput sample set.
-fn median_f64(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    samples[(samples.len() - 1) / 2]
-}
-
-/// Per-decoder aggregate: name, median throughput, sample count — in
-/// the fixed decoder order of the ingest figure.
-fn decoder_medians(samples: &[(String, f64)]) -> Vec<(String, f64, usize)> {
-    spm_bench::ingest::DECODERS
-        .iter()
-        .map(|decoder| {
-            let mut values: Vec<f64> = samples
-                .iter()
-                .filter(|(name, _)| name == decoder)
-                .map(|(_, v)| *v)
-                .collect();
-            let n = values.len();
-            (decoder.to_string(), median_f64(&mut values), n)
-        })
-        .collect()
-}
-
-/// Renders the `ingest` section of the report.
-fn ingest_json(medians: &[(String, f64, usize)]) -> String {
-    let mut out = format!(
-        "  \"ingest\": {{\"workload\": \"{}\", \"decoders\": [\n",
-        spm_bench::ingest::INGEST_WORKLOAD
-    );
-    for (i, (name, median, n)) in medians.iter().enumerate() {
-        let comma = if i + 1 == medians.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"median_events_per_sec\": {median:.0}, \
-\"n\": {n}}}{comma}\n"
-        ));
-    }
-    out.push_str("  ]},\n");
-    out
-}
-
 /// Renders the `runs` section: one `{jobs, total_us}` entry per suite
 /// run, the `--compare-serial` run first.
 fn runs_json(runs: &[RunTiming]) -> String {
@@ -408,34 +337,21 @@ fn runs_json(runs: &[RunTiming]) -> String {
     out
 }
 
-/// Renders the `spm-bench/report/v8` artifact (the schema
-/// `spm_report::bench::validate_bench_report` checks). One argument per
-/// top-level report section keeps the call site self-documenting.
-#[allow(clippy::too_many_arguments)]
+/// Renders the `spm-bench/report/v9` artifact (the schema
+/// `spm_report::bench::validate_bench_report` checks).
 fn report_json(
     host_parallelism: usize,
     jobs: usize,
     repeats: usize,
     runs: &[RunTiming],
     stats: &[FigureStat],
-    events_per_sec: &mut [f64],
-    ingest: &[(String, f64)],
     profile: &SuiteProfile,
 ) -> String {
-    events_per_sec.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let eps_median = if events_per_sec.is_empty() {
-        0.0
-    } else {
-        events_per_sec[(events_per_sec.len() - 1) / 2]
-    };
     let mut out = format!(
         "{{\n  \"schema\": \"{}\",\n  \"host_parallelism\": {host_parallelism},\n  \
-\"jobs\": {jobs},\n  \"repeats\": {repeats},\n{}  \
-\"events_per_sec\": {{\"median\": {:.0}, \"n\": {}}},\n",
+\"jobs\": {jobs},\n  \"repeats\": {repeats},\n{}",
         spm_report::bench::BENCH_REPORT_SCHEMA,
         runs_json(runs),
-        eps_median,
-        events_per_sec.len()
     );
     out.push_str(&format!(
         "  \"profile\": {{\"sample_hz\": {}, \"samples\": {}, \"allocs\": {}, \
@@ -446,7 +362,6 @@ fn report_json(
         profile.alloc_bytes,
         profile.heap_peak_bytes
     ));
-    out.push_str(&ingest_json(&decoder_medians(ingest)));
     out.push_str("  \"figures\": [\n");
     let empty = FigProfile::default();
     for (i, s) in stats.iter().enumerate() {
@@ -549,7 +464,7 @@ fn main() {
 
     let mut runs = Vec::new();
     let serial_figures = if compare_serial {
-        let (figures, timing, _, _, _) = run_once(1, sample_hz, None);
+        let (figures, timing, _) = run_once(1, sample_hz, None);
         runs.push(timing);
         Some(figures)
     } else {
@@ -561,15 +476,11 @@ fn main() {
     // first timed run alone, so repeats never mix attributions.
     let repeats_start = runs.len();
     let mut figures = Vec::new();
-    let mut events_per_sec = Vec::new();
-    let mut ingest_samples = Vec::new();
     let mut suite_profile = SuiteProfile::default();
     for rep in 0..repeat {
         let profile = (rep == 0).then_some(profile_path.as_deref()).flatten();
-        let (figs, timing, mut eps, mut ingest, prof) = run_once(jobs, sample_hz, profile);
+        let (figs, timing, prof) = run_once(jobs, sample_hz, profile);
         runs.push(timing);
-        events_per_sec.append(&mut eps);
-        ingest_samples.append(&mut ingest);
         if rep > 0 {
             continue;
         }
@@ -610,8 +521,6 @@ fn main() {
         repeat,
         &runs,
         &stats,
-        &mut events_per_sec,
-        &ingest_samples,
         &suite_profile,
     );
     if let Err(message) = spm_report::bench::validate_bench_report(&report) {
@@ -638,9 +547,8 @@ fn main() {
         );
     }
     println!(
-        "wrote results/BENCH_report.json ({} figures, {repeat} repeat(s), {} throughput samples)",
-        stats.len(),
-        events_per_sec.len()
+        "wrote results/BENCH_report.json ({} figures, {repeat} repeat(s))",
+        stats.len()
     );
     println!(
         "profile: {} samples @ {} Hz, {} allocs / {} bytes, heap peak {} bytes",

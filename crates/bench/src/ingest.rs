@@ -7,10 +7,6 @@
 //! overhead of DESIGN.md §12: transient-retry absorption on the way in,
 //! torn-tail recovery on the way out).
 //!
-//! Timed regions measure decode work only: containers are built,
-//! written to disk, and readers opened (file open, memory-map, header
-//! and index parse, recovery walks included) *before* the clock
-//! starts, so the figure compares decoders rather than setup costs.
 //! Store rows read real files through [`StoreReader::open`] — the
 //! production path, where block payloads are zero-copy slices of the
 //! page cache when the platform maps them.
@@ -18,10 +14,9 @@
 //! The rendered text contains only deterministic facts (event counts,
 //! byte sizes, block count, compression ratio, recovered prefix and
 //! retry counts — the fault schedule is seeded) so CI can byte-compare
-//! it as a golden; wall-clock throughput is machine-dependent and is
-//! emitted as `ingest/<decoder>_events_per_sec` gauges instead, which
-//! `all_figures` folds into the `ingest` section of
-//! `results/BENCH_report.json`.
+//! it as a golden. Decode throughput is machine-dependent and is not
+//! measured here: `perfbench`'s `replay` workload reports it as
+//! `store.decode.ns_per_event`.
 
 use crate::{analysis_error, workload};
 use spm_core::SpmError;
@@ -29,15 +24,13 @@ use spm_sim::{run, TraceEvent, TraceObserver};
 use spm_store::{
     Compression, FaultPlan, FaultyIo, FinishOutcome, RetryPolicy, StoreReader, StoreWriter,
 };
-use std::io::Cursor;
-use std::time::Instant;
+use std::io::{Cursor, Read, Seek};
 
-/// Workload whose `ref` input feeds the ingest measurement.
+/// Workload whose `ref` input feeds the ingest figure.
 pub const INGEST_WORKLOAD: &str = "gzip";
 
-/// The measured decode paths, in report order. `store-batch` is the
-/// sequential replay, named so that the corpus trajectory series
-/// recorded under that name continue.
+/// The decode paths, in figure order. `store-batch` is the sequential
+/// replay.
 pub const DECODERS: [&str; 4] = [
     "store-batch",
     "store-par",
@@ -90,8 +83,7 @@ pub struct IngestData {
 }
 
 /// Writes container bytes to a scratch file so readers take the same
-/// mmap-backed path the CLI uses, returning an opened reader. The
-/// write, open, and index parse all happen outside any timed region.
+/// mmap-backed path the CLI uses, returning an opened reader.
 fn opened_store(
     name: &str,
     bytes: &[u8],
@@ -114,29 +106,26 @@ fn opened_store(
     Ok((path, reader))
 }
 
-/// Times one decode path under an `ingest/<name>` span, reporting its
-/// throughput as an `ingest/<name>_events_per_sec` gauge.
-fn timed_decode(
-    name: &str,
-    events: u64,
-    f: impl FnOnce() -> Result<u64, SpmError>,
+/// Replays every block of `reader` into a counter, sequentially or
+/// over the `spm-par` pool, returning the events delivered.
+fn decode<R: Read + Seek>(
+    reader: &mut StoreReader<R>,
+    parallel: bool,
+    stage: &str,
 ) -> Result<u64, SpmError> {
-    let span = spm_obs::span(&format!("ingest/{name}"));
-    let start = Instant::now();
-    let decoded = f()?;
-    let secs = start.elapsed().as_secs_f64();
-    drop(span);
-    if secs > 0.0 {
-        spm_obs::gauge(
-            &format!("ingest/{name}_events_per_sec"),
-            events as f64 / secs,
-        );
+    let mut count = Count(0);
+    let report = if parallel {
+        reader.par_replay(&mut [&mut count])
+    } else {
+        reader.replay(&mut [&mut count])
     }
-    Ok(decoded)
+    .map_err(|e| analysis_error(stage, e))?;
+    debug_assert!(report.is_clean());
+    Ok(count.0)
 }
 
 /// Records the workload once into the plain and the compressed
-/// container, then measures every decode path over the same stream.
+/// container, then decodes the same stream along every path.
 ///
 /// # Errors
 ///
@@ -159,25 +148,8 @@ pub fn compute() -> Result<IngestData, SpmError> {
 
     // Production path: whole blocks delivered per observer call.
     let (store_path, mut reader) = opened_store("plain", &store_buf)?;
-    let batch_decoded = timed_decode("store-batch", packed.events, || {
-        let mut count = Count(0);
-        let report = reader
-            .replay(&mut [&mut count])
-            .map_err(|e| analysis_error("ingest/store-batch", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
-
-    let mut reader =
-        StoreReader::open(&store_path).map_err(|e| analysis_error("ingest/store-par", e))?;
-    let par_decoded = timed_decode("store-par", packed.events, || {
-        let mut count = Count(0);
-        let report = reader
-            .par_replay(&mut [&mut count])
-            .map_err(|e| analysis_error("ingest/store-par", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
+    let batch_decoded = decode(&mut reader, false, "ingest/store-batch")?;
+    let par_decoded = decode(&mut reader, true, "ingest/store-par")?;
     drop(reader);
     std::fs::remove_file(&store_path).ok();
     // The faulted row repacks this same stream (see below); build its
@@ -186,34 +158,17 @@ pub fn compute() -> Result<IngestData, SpmError> {
     drop(store_buf);
 
     let (lz_path, mut reader) = opened_store("lz", &lz_buf)?;
-    let compressed_decoded = timed_decode("store-compressed", packed.events, || {
-        let mut count = Count(0);
-        let report = reader
-            .replay(&mut [&mut count])
-            .map_err(|e| analysis_error("ingest/store-compressed", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
+    let compressed_decoded = decode(&mut reader, false, "ingest/store-compressed")?;
     drop(reader);
     std::fs::remove_file(&lz_path).ok();
 
     // Faulted path: the same stream repacked through the failpoint
     // disk, flaky (retried transients) and then killed at 3/4 of the
-    // clean pass's I/O operations; the decode side then pays recovery
-    // (index rebuild, torn-tail discard) before replaying the committed
-    // prefix. The open — including the recovery walk — happens before
-    // the clock starts, like every other row's setup.
+    // clean pass's I/O operations; opening it pays recovery (index
+    // rebuild, torn-tail discard) before the committed prefix replays.
     let mut reader = StoreReader::new(Cursor::new(torn))
         .map_err(|e| analysis_error("ingest/store-faulted", e))?;
-    let recovered = reader.info().events;
-    let faulted_decoded = timed_decode("store-faulted", recovered, || {
-        let mut count = Count(0);
-        let report = reader
-            .replay(&mut [&mut count])
-            .map_err(|e| analysis_error("ingest/store-faulted", e))?;
-        debug_assert!(report.is_clean());
-        Ok(count.0)
-    })?;
+    let faulted_decoded = decode(&mut reader, false, "ingest/store-faulted")?;
     if faulted_decoded < faulted_committed {
         return Err(analysis_error(
             "ingest/store-faulted",
@@ -239,7 +194,7 @@ pub fn compute() -> Result<IngestData, SpmError> {
 }
 
 /// Repacks the clean container's event stream through [`FaultyIo`]:
-/// one clean pass to count I/O operations, then the measured pass with
+/// one clean pass to count I/O operations, then the faulted pass with
 /// seeded transients and a kill at 3/4 of those operations. Returns the
 /// torn image, the commit watermark at the kill, and the retries
 /// absorbed.
@@ -296,8 +251,8 @@ pub fn render(d: &IngestData) -> String {
         d.faulted_committed, d.faulted_retries
     ));
     out.push_str(
-        "# throughput is machine-dependent: see the `ingest` section of \
-results/BENCH_report.json\n",
+        "# decode throughput is machine-dependent: see perfbench `replay` \
+(store.decode.ns_per_event)\n",
     );
     out
 }

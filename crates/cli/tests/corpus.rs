@@ -321,12 +321,12 @@ fn store_artifacts_key_matches_spm_info() {
     );
 }
 
-/// A hand-written `spm-bench/report/v8` document whose `fig03` median
+/// A hand-written `spm-bench/report/v9` document whose `fig03` median
 /// is `fig03_median_us`.
 fn bench_report(fig03_median_us: u64) -> String {
     format!(
         r#"{{
-  "schema": "spm-bench/report/v8",
+  "schema": "spm-bench/report/v9",
   "host_parallelism": 2,
   "jobs": 2,
   "repeats": 1,
@@ -334,11 +334,7 @@ fn bench_report(fig03_median_us: u64) -> String {
     {{"jobs": 1, "total_us": 9000000}},
     {{"jobs": 2, "total_us": 5000000}}
   ],
-  "events_per_sec": {{"median": 25000000, "n": 40}},
   "profile": {{"sample_hz": 7, "samples": 35, "allocs": 1000, "alloc_bytes": 900000, "heap_peak_bytes": 500000}},
-  "ingest": {{"workload": "gzip", "decoders": [
-    {{"name": "store", "median_events_per_sec": 30000000, "n": 1}}
-  ]}},
   "figures": [
     {{"name": "fig03", "repeats": 1, "median_us": {fig03_median_us}, "min_us": {fig03_median_us}, "total_us": {fig03_median_us}, "profile": {{"samples": 2, "allocs": 10, "alloc_bytes": 900, "peak_rss_kb": 4000}}}}
   ]
@@ -383,26 +379,28 @@ fn corpus_trajectory_trends_ingested_bench_reports() {
         trajectory.contains("figure fig03: median_us 60000 72000\n"),
         "{trajectory}"
     );
-    assert!(
-        trajectory.contains("decoder store: events/sec 30000000 30000000\n"),
-        "{trajectory}"
-    );
+    // Figure rows are the whole trajectory: throughput is trended in
+    // `perfbench`, not here.
+    assert_eq!(trajectory.lines().count(), 2, "{trajectory}");
 
-    // A v7 report, with its in-report trajectory, is refused by name.
+    // A v8 report, with its n=1 throughput sections, is refused by name.
     let stale = bench_report(60000)
-        .replace("report/v8", "report/v7")
-        .replace("  \"figures\"", "  \"trajectory\": [],\n  \"figures\"");
+        .replace("report/v9", "report/v8")
+        .replace(
+            "  \"figures\"",
+            "  \"events_per_sec\": {\"median\": 25000000, \"n\": 40},\n  \"figures\"",
+        );
     let path = work.join("stale.json");
     std::fs::write(&path, stale).expect("write report");
     let out = add_bench_report(&dir, &path);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(9), "a v7 report must be rejected");
+    assert_eq!(out.status.code(), Some(9), "a v8 report must be rejected");
     assert!(
         stderr.starts_with("error[analysis]"),
         "typed error: {stderr}"
     );
-    assert!(stderr.contains("spm-bench/report/v7"), "{stderr}");
     assert!(stderr.contains("spm-bench/report/v8"), "{stderr}");
+    assert!(stderr.contains("spm-bench/report/v9"), "{stderr}");
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! series render as unicode sparklines (block glyphs normalized per
 //! series), so the "chart" is plain text too.
 
-use crate::query::{RegressionReport, TrajectoryPoint, WorkloadStability};
+use crate::query::{
+    figure_names, figure_series, RegressionReport, TrajectoryPoint, WorkloadStability,
+};
 use crate::Corpus;
 use spm_report::html::escape;
 use spm_report::{flame::fmt_duration, DiffConfig};
@@ -73,34 +75,6 @@ fn stability_section(groups: &[WorkloadStability], out: &mut String) {
     }
 }
 
-fn series_rows(
-    points: &[TrajectoryPoint],
-    pick: impl Fn(&TrajectoryPoint) -> &[(String, f64)],
-    unit: &str,
-    out: &mut String,
-) {
-    let mut names: Vec<String> = Vec::new();
-    for point in points {
-        for (name, _) in pick(point) {
-            if !names.iter().any(|n| n == name) {
-                names.push(name.clone());
-            }
-        }
-    }
-    for name in names {
-        let series: Vec<f64> = points
-            .iter()
-            .filter_map(|p| pick(p).iter().find(|(n, _)| n == &name).map(|(_, v)| *v))
-            .collect();
-        let latest = series.last().copied().unwrap_or(0.0);
-        out.push_str(&format!(
-            "<tr><td>{}</td><td class=\"spark\">{}</td><td>{latest:.0}</td><td class=\"meta\">{unit}</td></tr>\n",
-            escape(&name),
-            sparkline(&series),
-        ));
-    }
-}
-
 fn trajectory_section(points: &[TrajectoryPoint], out: &mut String) {
     out.push_str(&format!(
         "<h2>perf trajectory <span class=\"meta\">({} ingested bench report(s))</span></h2>\n",
@@ -113,14 +87,15 @@ fn trajectory_section(points: &[TrajectoryPoint], out: &mut String) {
     out.push_str(
         "<table>\n<tr><th>series</th><th>trend (oldest→latest)</th><th>latest</th><th></th></tr>\n",
     );
-    let suite_series: Vec<f64> = points.iter().map(|p| p.events_per_sec).collect();
-    out.push_str(&format!(
-        "<tr><td>suite events/sec</td><td class=\"spark\">{}</td><td>{:.0}</td><td class=\"meta\">events/s</td></tr>\n",
-        sparkline(&suite_series),
-        suite_series.last().copied().unwrap_or(0.0),
-    ));
-    series_rows(points, |p| &p.figures, "us median", out);
-    series_rows(points, |p| &p.decoders, "events/s", out);
+    for name in figure_names(points) {
+        let series: Vec<f64> = figure_series(points, &name).flatten().collect();
+        let latest = series.last().copied().unwrap_or(0.0);
+        out.push_str(&format!(
+            "<tr><td>{}</td><td class=\"spark\">{}</td><td>{latest:.0}</td><td class=\"meta\">us median</td></tr>\n",
+            escape(&name),
+            sparkline(&series),
+        ));
+    }
     out.push_str("</table>\n");
 }
 

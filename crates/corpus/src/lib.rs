@@ -35,9 +35,11 @@
 //!   ingested input/seed of a workload, with a per-marker survival
 //!   fraction. This is the paper's cross-input stability claim made
 //!   measurable at fleet scale.
-//! * [`query::trajectory`] — per-figure median wall-clock and
-//!   events/sec across every ingested `BENCH_report.json`. A report
-//!   describes one suite invocation; the corpus is the one history.
+//! * [`query::trajectory`] — per-figure median wall-clock across
+//!   every ingested `BENCH_report.json`. A report describes one suite
+//!   invocation; the corpus is the one history. Reports carry no
+//!   throughput: per-layer costs come from `perfbench` traces, which
+//!   ingest as `--metrics` artifacts like any spm-obs stream.
 //! * [`query::regressions`] — the `spm report` noise-aware gate
 //!   (median-of-N, relative threshold, absolute floor) applied across
 //!   **all** same-workload run pairs, each run indexed once

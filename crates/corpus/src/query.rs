@@ -141,28 +141,14 @@ pub struct TrajectoryPoint {
     pub seq: u64,
     /// The run's label.
     pub label: String,
-    /// Suite-level simulation throughput (`events_per_sec.median`).
-    pub events_per_sec: f64,
     /// Per-figure median wall-clock, microseconds (`figures[].median_us`).
     pub figures: Vec<(String, f64)>,
-    /// Per-decoder ingest throughput
-    /// (`ingest.decoders[].median_events_per_sec`).
-    pub decoders: Vec<(String, f64)>,
 }
 
-fn num_at(doc: &Json, key: &str, what: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("{what}: missing `{key}`"))
-}
-
-fn named_series(doc: &Json, section: &str, value_key: &str) -> Result<Vec<(String, f64)>, String> {
-    let arr = match section.split_once('.') {
-        Some((outer, inner)) => doc.get(outer).and_then(|o| o.get(inner)),
-        None => doc.get(section),
-    };
-    let Some(Json::Arr(entries)) = arr else {
-        return Err(format!("missing `{section}` array"));
+/// The `figures[]` entries of a bench report as `(name, median_us)`.
+fn figure_medians(doc: &Json) -> Result<Vec<(String, f64)>, String> {
+    let Some(Json::Arr(entries)) = doc.get("figures") else {
+        return Err("missing `figures` array".into());
     };
     entries
         .iter()
@@ -170,16 +156,19 @@ fn named_series(doc: &Json, section: &str, value_key: &str) -> Result<Vec<(Strin
             let name = e
                 .get("name")
                 .and_then(Json::as_str)
-                .ok_or_else(|| format!("{section}: entry without `name`"))?;
-            let value = num_at(e, value_key, section)?;
-            Ok((name.to_string(), value))
+                .ok_or("figures: entry without `name`")?;
+            let median = e
+                .get("median_us")
+                .and_then(Json::as_num)
+                .ok_or("figures: missing `median_us`")?;
+            Ok((name.to_string(), median))
         })
         .collect()
 }
 
-/// Per-figure and per-decoder history over **every** ingested
-/// `BENCH_report.json`, oldest first. Each report describes one suite
-/// invocation, so this is the suite's only history.
+/// Per-figure history over **every** ingested `BENCH_report.json`,
+/// oldest first. Each report describes one suite invocation, so this is
+/// the suite's only history.
 ///
 /// # Errors
 ///
@@ -198,35 +187,22 @@ pub fn trajectory(corpus: &Corpus) -> Result<Vec<TrajectoryPoint>, SpmError> {
         let text = corpus.read_object_text(artifact.object)?;
         let object = corpus.object_path(artifact.object);
         let doc = parse(&text).map_err(|m| corpus_err(&object, m))?;
-        let events_per_sec = doc
-            .get("events_per_sec")
-            .and_then(|o| o.get("median"))
-            .and_then(Json::as_num)
-            .ok_or_else(|| corpus_err(&object, "missing `events_per_sec.median`".into()))?;
-        let figures =
-            named_series(&doc, "figures", "median_us").map_err(|m| corpus_err(&object, m))?;
-        let decoders = named_series(&doc, "ingest.decoders", "median_events_per_sec")
-            .map_err(|m| corpus_err(&object, m))?;
+        let figures = figure_medians(&doc).map_err(|m| corpus_err(&object, m))?;
         Ok(TrajectoryPoint {
             seq: run.seq,
             label: run.label.clone(),
-            events_per_sec,
             figures,
-            decoders,
         })
     })
 }
 
-/// All series names across a set of points, in first-seen order of the
+/// All figure names across a set of points, in first-seen order of the
 /// oldest report that mentions them, deduplicated.
-fn series_names(
-    points: &[TrajectoryPoint],
-    pick: impl Fn(&TrajectoryPoint) -> &[(String, f64)],
-) -> Vec<String> {
-    let mut names = Vec::new();
+pub(crate) fn figure_names(points: &[TrajectoryPoint]) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
     for point in points {
-        for (name, _) in pick(point) {
-            if !names.iter().any(|n| n == name) {
+        for (name, _) in &point.figures {
+            if !names.contains(name) {
                 names.push(name.clone());
             }
         }
@@ -234,25 +210,21 @@ fn series_names(
     names
 }
 
-fn series_row(
-    points: &[TrajectoryPoint],
-    name: &str,
-    pick: impl Fn(&TrajectoryPoint) -> &[(String, f64)],
-) -> String {
-    points
-        .iter()
-        .map(|p| {
-            pick(p)
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or_else(|| "-".to_string(), |(_, v)| format!("{v:.0}"))
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
+/// One figure's median in every point that reports it, oldest first.
+pub(crate) fn figure_series<'a>(
+    points: &'a [TrajectoryPoint],
+    name: &'a str,
+) -> impl Iterator<Item = Option<f64>> + 'a {
+    points.iter().map(move |p| {
+        p.figures
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, median)| *median)
+    })
 }
 
-/// Renders the trajectory query: one row per figure and per decoder,
-/// values ordered oldest ingest first.
+/// Renders the trajectory query: one row per figure, values ordered
+/// oldest ingest first.
 pub fn render_trajectory(points: &[TrajectoryPoint]) -> String {
     let seqs: Vec<String> = points.iter().map(|p| p.seq.to_string()).collect();
     let mut out = format!(
@@ -264,25 +236,11 @@ pub fn render_trajectory(points: &[TrajectoryPoint]) -> String {
             seqs.join(" ")
         }
     );
-    if points.is_empty() {
-        return out;
-    }
-    let suite: Vec<String> = points
-        .iter()
-        .map(|p| format!("{:.0}", p.events_per_sec))
-        .collect();
-    out.push_str(&format!("suite events/sec: {}\n", suite.join(" ")));
-    for name in series_names(points, |p| &p.figures) {
-        out.push_str(&format!(
-            "figure {name}: median_us {}\n",
-            series_row(points, &name, |p| &p.figures)
-        ));
-    }
-    for name in series_names(points, |p| &p.decoders) {
-        out.push_str(&format!(
-            "decoder {name}: events/sec {}\n",
-            series_row(points, &name, |p| &p.decoders)
-        ));
+    for name in figure_names(points) {
+        let row: Vec<String> = figure_series(points, &name)
+            .map(|v| v.map_or_else(|| "-".to_string(), |v| format!("{v:.0}")))
+            .collect();
+        out.push_str(&format!("figure {name}: median_us {}\n", row.join(" ")));
     }
     out
 }
@@ -470,9 +428,7 @@ mod tests {
         TrajectoryPoint {
             seq,
             label: format!("p{seq}"),
-            events_per_sec: 1e8,
             figures: figures.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
-            decoders: vec![("flat".to_string(), 9e7)],
         }
     }
 
@@ -486,10 +442,8 @@ mod tests {
         assert!(text.contains("2 bench report(s) (seq 1 2)"), "{text}");
         assert!(text.contains("figure a: median_us 10 12"), "{text}");
         assert!(text.contains("figure b: median_us - 5"), "{text}");
-        assert!(
-            text.contains("decoder flat: events/sec 90000000 90000000"),
-            "{text}"
-        );
+        // Figure rows are the whole trajectory: nothing else is trended.
+        assert_eq!(text.lines().count(), 3, "{text}");
     }
 
     #[test]

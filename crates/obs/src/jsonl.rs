@@ -214,11 +214,23 @@ impl Json {
     }
 }
 
+/// Nesting depth (arrays and objects) at which [`parse`] gives up. The
+/// parser recurses once per level, so without a cap a hostile document
+/// of nothing but `[` overflows the stack; the deepest document the
+/// repository writes nests 4 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (used on one JSONL line at a time).
+///
+/// # Errors
+///
+/// A description of the first syntax error, or of nesting that reaches
+/// `MAX_DEPTH` (128) levels.
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -232,6 +244,8 @@ pub fn parse(src: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -266,8 +280,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -279,6 +293,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to reach
+    /// `MAX_DEPTH`.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth + 1 >= MAX_DEPTH {
+            return Err(format!(
+                "nesting reaches {MAX_DEPTH} levels at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
@@ -651,6 +680,26 @@ mod tests {
             "{\"v\":1.5,\"kind\":\"span\",\"name\":\"x\",\"dur_us\":1,\"fields\":{}}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        // A hostile line of nothing but openers must fail, not abort.
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let err = parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // One level short of the cap still parses, arrays and objects
+        // alike; the cap itself does not.
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH - 1)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH)).is_err());
+        let deep_obj = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH - 1),
+            "}".repeat(MAX_DEPTH - 1)
+        );
+        assert!(parse(&deep_obj).is_ok());
     }
 
     #[test]

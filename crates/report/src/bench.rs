@@ -1,5 +1,5 @@
 //! Validation of the one bench artifact, `results/BENCH_report.json`
-//! (schema `spm-bench/report/v8`), which `all_figures` writes.
+//! (schema `spm-bench/report/v9`), which `all_figures` writes.
 //!
 //! A report describes one invocation of the figure suite:
 //!
@@ -7,13 +7,14 @@
 //! - `runs` — one `{jobs, total_us}` entry per suite run, the
 //!   `--compare-serial` run (at `--jobs 1`) first, so the serial vs
 //!   parallel speedup is recoverable from the report alone;
-//! - `events_per_sec` — the median suite-wide simulation throughput;
 //! - `profile` — the statistical profiler's suite totals (DESIGN.md
 //!   §13): sampling rate, samples, allocations, heap peak;
-//! - `ingest` — per-decoder throughput of the `spmstk01` store figure;
 //! - `figures` — per figure the median/min/total wall-clock across the
 //!   repeats and its own `profile` (samples, allocs/bytes attributed
 //!   to its span, peak RSS at its close).
+//!
+//! Throughput is not kept here either: `perfbench` is the one ledger
+//! for per-layer throughput, with its spread checked over ten seeds.
 //!
 //! History across builds is not kept here: `spm corpus add` ingests
 //! each report and `spm corpus query trajectory` trends them. Like the
@@ -24,33 +25,7 @@
 use spm_obs::jsonl::{parse, Json};
 
 /// Schema identifier of the bench report artifact.
-pub const BENCH_REPORT_SCHEMA: &str = "spm-bench/report/v8";
-
-/// Validates the `ingest` section's decoder entries
-/// (`{name, median_events_per_sec, n}`).
-fn check_decoders(decoders: &[Json], at: impl Fn(String) -> String) -> Result<(), String> {
-    for (i, dec) in decoders.iter().enumerate() {
-        let at = |message: String| at(format!("decoders[{i}]: {message}"));
-        let name = dec
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| at("missing `name`".into()))?;
-        if name.is_empty() {
-            return Err(at("`name` is empty".into()));
-        }
-        let median = finite_num(dec, "median_events_per_sec").map_err(&at)?;
-        if median < 0.0 {
-            return Err(at(format!(
-                "`median_events_per_sec` is negative ({median})"
-            )));
-        }
-        let n = finite_num(dec, "n").map_err(&at)?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(at("`n` must be a non-negative integer".into()));
-        }
-    }
-    Ok(())
-}
+pub const BENCH_REPORT_SCHEMA: &str = "spm-bench/report/v9";
 
 fn finite_num(doc: &Json, key: &str) -> Result<f64, String> {
     match doc.get(key) {
@@ -98,9 +73,9 @@ fn check_profile(doc: &Json, keys: &[&str], at: impl Fn(String) -> String) -> Re
 /// # Errors
 ///
 /// A human-readable description of the first violation: wrong schema
-/// tag, missing or mistyped keys, non-finite numbers, empty run, figure
-/// or ingest-decoder lists, or per-figure stats that contradict each
-/// other (`min > median` or `median > total`).
+/// tag, missing or mistyped keys, non-finite numbers, empty run or
+/// figure lists, or per-figure stats that contradict each other
+/// (`min > median` or `median > total`).
 pub fn validate_bench_report(text: &str) -> Result<(), String> {
     let doc = parse(text)?;
     match doc.get("schema").and_then(Json::as_str) {
@@ -128,19 +103,6 @@ pub fn validate_bench_report(text: &str) -> Result<(), String> {
         nonneg_int(run, "total_us").map_err(at)?;
     }
 
-    let eps = match doc.get("events_per_sec") {
-        Some(obj @ Json::Obj(_)) => obj,
-        _ => return Err("missing `events_per_sec` object".into()),
-    };
-    let median = finite_num(eps, "median")?;
-    if median < 0.0 {
-        return Err("`events_per_sec.median` is negative".into());
-    }
-    let n = finite_num(eps, "n")?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err("`events_per_sec.n` must be a non-negative integer".into());
-    }
-
     check_profile(
         &doc,
         &[
@@ -152,23 +114,6 @@ pub fn validate_bench_report(text: &str) -> Result<(), String> {
         ],
         |m| m,
     )?;
-
-    let ingest = match doc.get("ingest") {
-        Some(obj @ Json::Obj(_)) => obj,
-        Some(_) => return Err("`ingest` is not an object".into()),
-        None => return Err("missing `ingest` object".into()),
-    };
-    match ingest.get("workload").and_then(Json::as_str) {
-        Some(w) if !w.is_empty() => {}
-        _ => return Err("`ingest.workload` must be a non-empty string".into()),
-    }
-    let Some(Json::Arr(decoders)) = ingest.get("decoders") else {
-        return Err("missing `ingest.decoders` array".into());
-    };
-    if decoders.is_empty() {
-        return Err("`ingest.decoders` is empty".into());
-    }
-    check_decoders(decoders, |message| format!("ingest.{message}"))?;
 
     let Some(Json::Arr(figures)) = doc.get("figures") else {
         return Err("missing `figures` array".into());
@@ -228,14 +173,7 @@ mod tests {
     {{"jobs": 4, "total_us": 3100000}},
     {{"jobs": 4, "total_us": 3000000}}
   ],
-  "events_per_sec": {{"median": 150000000, "n": 12}},
   "profile": {{"sample_hz": 7, "samples": 420, "allocs": 120000, "alloc_bytes": 90000000, "heap_peak_bytes": 30000000}},
-  "ingest": {{"workload": "gzip", "decoders": [
-    {{"name": "store-batch", "median_events_per_sec": 90000000, "n": 2}},
-    {{"name": "store-par", "median_events_per_sec": 160000000, "n": 2}},
-    {{"name": "store-compressed", "median_events_per_sec": 85000000, "n": 2}},
-    {{"name": "store-faulted", "median_events_per_sec": 70000000, "n": 2}}
-  ]}},
   "figures": [
     {{"name": "fig03", "repeats": 2, "median_us": 60000, "min_us": 55000, "total_us": 125000, "profile": {{"samples": 4, "allocs": 900, "alloc_bytes": 500000, "peak_rss_kb": 40000}}}},
     {{"name": "fig04", "repeats": 2, "median_us": 1500000, "min_us": 1400000, "total_us": 2900000, "profile": {{"samples": 110, "allocs": 52000, "alloc_bytes": 41000000, "peak_rss_kb": 52000}}}}
@@ -251,14 +189,14 @@ mod tests {
 
     #[test]
     fn wrong_schema_tag_fails() {
-        let text = sample().replace("report/v8", "timings/v2");
+        let text = sample().replace("report/v9", "timings/v2");
         let err = validate_bench_report(&text).unwrap_err();
         assert!(err.contains("timings/v2"), "{err}");
         // The previous major version is rejected too: a stale committed
         // artifact must fail, not slide through.
-        let text = sample().replace("report/v8", "report/v7");
+        let text = sample().replace("report/v9", "report/v8");
         let err = validate_bench_report(&text).unwrap_err();
-        assert!(err.contains("spm-bench/report/v7"), "{err}");
+        assert!(err.contains("spm-bench/report/v8"), "{err}");
     }
 
     #[test]
@@ -266,7 +204,7 @@ mod tests {
         // The suite-level profile is mandatory.
         let start = sample().find("  \"profile\"").unwrap();
         let mut text = sample();
-        let end = text.find("  \"ingest\"").unwrap();
+        let end = text.find("  \"figures\"").unwrap();
         text.replace_range(start..end, "");
         let err = validate_bench_report(&text).unwrap_err();
         assert!(err.contains("profile"), "{err}");
@@ -293,7 +231,7 @@ mod tests {
     fn missing_runs_fails() {
         let start = sample().find("  \"runs\"").unwrap();
         let mut text = sample();
-        let end = text.find("  \"events_per_sec\"").unwrap();
+        let end = text.find("  \"profile\"").unwrap();
         text.replace_range(start..end, "");
         let err = validate_bench_report(&text).unwrap_err();
         assert!(err.contains("missing `runs`"), "{err}");
@@ -357,32 +295,6 @@ mod tests {
         text.replace_range(start..=end, "[]");
         let err = validate_bench_report(&text).unwrap_err();
         assert!(err.contains("empty"), "{err}");
-    }
-
-    #[test]
-    fn missing_ingest_section_fails() {
-        let start = sample().find("  \"ingest\"").unwrap();
-        let mut text = sample();
-        let end = text.find("  \"figures\"").unwrap();
-        text.replace_range(start..end, "");
-        let err = validate_bench_report(&text).unwrap_err();
-        assert!(err.contains("ingest"), "{err}");
-    }
-
-    #[test]
-    fn bad_ingest_decoders_fail() {
-        let text = sample().replace(
-            "\"median_events_per_sec\": 90000000",
-            "\"median_events_per_sec\": -1",
-        );
-        let err = validate_bench_report(&text).unwrap_err();
-        assert!(err.contains("ingest.decoders[0]"), "{err}");
-        assert!(err.contains("negative"), "{err}");
-
-        let text = sample().replace("\"name\": \"store-par\", ", "");
-        let err = validate_bench_report(&text).unwrap_err();
-        assert!(err.contains("ingest.decoders[1]"), "{err}");
-        assert!(err.contains("name"), "{err}");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! schema — the same check CI runs, so a hand-edited or stale artifact
 //! fails before it merges.
 
+use spm_obs::jsonl::{parse, Json};
 use spm_report::bench::{validate_bench_report, BENCH_REPORT_SCHEMA};
 use std::path::PathBuf;
 
@@ -20,22 +21,25 @@ fn committed_bench_report_validates() {
 }
 
 #[test]
-fn committed_bench_report_carries_no_history_or_retired_decoders() {
-    // History lives in the corpus (`spm corpus query trajectory`), the
-    // flat trace decoder no longer exists, and neither does the
-    // per-event `store` row (every producer delivers batches).
-    let text = committed_report();
-    assert!(
-        !text.contains("\"trajectory\""),
-        "stale in-report trajectory"
-    );
-    assert!(
-        !text.contains("\"name\": \"flat\""),
-        "stale flat decoder row"
-    );
-    assert!(
-        !text.contains("\"name\": \"store\","),
-        "stale per-event store decoder row"
+fn committed_bench_report_has_exactly_the_v9_sections() {
+    // History lives in the corpus (`spm corpus query trajectory`) and
+    // throughput in `perfbench`: no `trajectory`, `events_per_sec` or
+    // `ingest` section may linger in the committed artifact.
+    let Ok(Json::Obj(members)) = parse(&committed_report()) else {
+        panic!("results/BENCH_report.json is not a JSON object");
+    };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "schema",
+            "host_parallelism",
+            "jobs",
+            "repeats",
+            "runs",
+            "profile",
+            "figures"
+        ]
     );
 }
 

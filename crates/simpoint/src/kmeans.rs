@@ -88,6 +88,24 @@ impl std::fmt::Display for KmeansError {
 
 impl std::error::Error for KmeansError {}
 
+/// The width every point shares (0 for no points).
+///
+/// # Errors
+///
+/// [`KmeansError::DimensionMismatch`] naming the first point whose
+/// width differs from the first point's.
+pub(crate) fn row_width(points: &[Vec<f64>]) -> Result<usize, KmeansError> {
+    let d = points.first().map_or(0, Vec::len);
+    match points.iter().position(|p| p.len() != d) {
+        None => Ok(d),
+        Some(index) => Err(KmeansError::DimensionMismatch {
+            index,
+            expected: d,
+            found: points[index].len(),
+        }),
+    }
+}
+
 /// Weighted Lloyd's algorithm with k-means++ initialization.
 ///
 /// `points` are the (projected) interval vectors; `weights` are the
@@ -123,16 +141,7 @@ pub fn kmeans(
     if k == 0 {
         return Err(KmeansError::ZeroK);
     }
-    let d = points[0].len();
-    for (i, p) in points.iter().enumerate() {
-        if p.len() != d {
-            return Err(KmeansError::DimensionMismatch {
-                index: i,
-                expected: d,
-                found: p.len(),
-            });
-        }
-    }
+    let d = row_width(points)?;
     let k = k.min(points.len());
     let bad_dim: Vec<bool> = (0..d)
         .map(|j| points.iter().any(|p| !p[j].is_finite()))

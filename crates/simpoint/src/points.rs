@@ -1,6 +1,6 @@
 //! Choosing the number of phases and the simulation points.
 
-use crate::kmeans::{bic, kmeans, Clustering, KmeansError};
+use crate::kmeans::{bic, kmeans, row_width, Clustering, KmeansError};
 use spm_bbv::{euclidean, project};
 
 /// How the simulation point (representative interval) of a cluster is
@@ -130,6 +130,9 @@ pub fn pick_simpoints(
     if vectors.is_empty() {
         return Err(KmeansError::NoPoints);
     }
+    // `project` asserts equal widths; ragged input is the caller's
+    // error, not a panic.
+    row_width(vectors)?;
     let projected = project(vectors, config.dims, config.seed);
 
     // Each k's fit is an independent deterministic function of
@@ -281,6 +284,24 @@ mod tests {
         assert_eq!(sp.k, 1);
         assert_eq!(sp.clusters[0].representative, 0);
         assert!((sp.clusters[0].weight - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ragged_vectors_are_a_typed_error_not_a_panic() {
+        let err = pick_simpoints(
+            &[vec![0.0, 1.0], vec![0.0]],
+            &[1.0, 1.0],
+            &SimPointConfig::new(5, 2, 3),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            KmeansError::DimensionMismatch {
+                index: 1,
+                expected: 2,
+                found: 1
+            }
+        );
     }
 
     #[test]
