@@ -14,7 +14,6 @@ use spm_sim::run;
 use spm_simpoint::kmeans;
 use spm_store::{StoreReader, StoreWriter};
 use spm_workloads::build;
-use std::io::Cursor;
 
 fn bench_callloop_profile(c: &mut Criterion) {
     let w = build("gzip").expect("gzip");
@@ -142,7 +141,7 @@ fn bench_trace_record_replay(c: &mut Criterion) {
     let store = record();
     group.bench_function("replay_art_train", |b| {
         b.iter(|| {
-            StoreReader::new(Cursor::new(&store))
+            StoreReader::from_bytes(store.clone())
                 .unwrap()
                 .replay(&mut [])
                 .unwrap()

@@ -27,7 +27,6 @@ use spm_ir::parse_workload;
 use spm_sim::{run, TraceEvent, TraceObserver};
 use spm_store::io::{Clock, FaultPlan, FaultyIo, RetryPolicy};
 use spm_store::{CommitMark, StoreReader, StoreWriter, SyncPolicy};
-use std::io::Cursor;
 use std::path::PathBuf;
 
 /// Schema tag of the chaos fault report.
@@ -178,7 +177,7 @@ type Recovered = (u64, u64, Vec<(u64, TraceEvent)>);
 
 /// Opens a torn image and replays everything it recovered.
 fn recover(torn: &[u8]) -> Option<Recovered> {
-    let mut reader = StoreReader::new(Cursor::new(torn.to_vec())).ok()?;
+    let mut reader = StoreReader::from_bytes(torn.to_vec()).ok()?;
     let mut got = Vec::new();
     let report = reader.replay(&mut [&mut got]).ok()?;
     if !report.is_clean() {

@@ -24,7 +24,6 @@ use spm_sim::{run, TraceEvent, TraceObserver};
 use spm_store::{
     Compression, FaultPlan, FaultyIo, FinishOutcome, RetryPolicy, StoreReader, StoreWriter,
 };
-use std::io::{Cursor, Read, Seek};
 
 /// Workload whose `ref` input feeds the ingest figure.
 pub const INGEST_WORKLOAD: &str = "gzip";
@@ -84,16 +83,7 @@ pub struct IngestData {
 
 /// Writes container bytes to a scratch file so readers take the same
 /// mmap-backed path the CLI uses, returning an opened reader.
-fn opened_store(
-    name: &str,
-    bytes: &[u8],
-) -> Result<
-    (
-        std::path::PathBuf,
-        StoreReader<std::io::BufReader<std::fs::File>>,
-    ),
-    SpmError,
-> {
+fn opened_store(name: &str, bytes: &[u8]) -> Result<(std::path::PathBuf, StoreReader), SpmError> {
     // Unique per call: parallel test threads each run `compute`.
     static SCRATCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let serial = SCRATCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -108,11 +98,7 @@ fn opened_store(
 
 /// Replays every block of `reader` into a counter, sequentially or
 /// over the `spm-par` pool, returning the events delivered.
-fn decode<R: Read + Seek>(
-    reader: &mut StoreReader<R>,
-    parallel: bool,
-    stage: &str,
-) -> Result<u64, SpmError> {
+fn decode(reader: &mut StoreReader, parallel: bool, stage: &str) -> Result<u64, SpmError> {
     let mut count = Count(0);
     let report = if parallel {
         reader.par_replay(&mut [&mut count])
@@ -166,8 +152,8 @@ pub fn compute() -> Result<IngestData, SpmError> {
     // disk, flaky (retried transients) and then killed at 3/4 of the
     // clean pass's I/O operations; opening it pays recovery (index
     // rebuild, torn-tail discard) before the committed prefix replays.
-    let mut reader = StoreReader::new(Cursor::new(torn))
-        .map_err(|e| analysis_error("ingest/store-faulted", e))?;
+    let mut reader =
+        StoreReader::from_bytes(torn).map_err(|e| analysis_error("ingest/store-faulted", e))?;
     let faulted_decoded = decode(&mut reader, false, "ingest/store-faulted")?;
     if faulted_decoded < faulted_committed {
         return Err(analysis_error(
@@ -205,7 +191,7 @@ fn faulted_pack(store: &[u8]) -> Result<(Vec<u8>, u64, u64), SpmError> {
             base_delay: std::time::Duration::ZERO,
         };
         let mut writer = StoreWriter::new(FaultyIo::new(plan)).retry_policy(no_backoff);
-        StoreReader::new(Cursor::new(store))
+        StoreReader::from_bytes(store.to_vec())
             .and_then(|mut reader| reader.replay(&mut [&mut writer]))
             .map_err(|e| analysis_error(stage, e))?;
         Ok(writer.finish_with_sink())

@@ -702,10 +702,7 @@ fn store_error(path: &str, e: StoreError) -> CliError {
 /// watermarks goes to the structured stream, and one machine-readable
 /// line is appended to `err` (so batch workers warn once, byte-stable
 /// at any `--jobs`).
-fn open_store(
-    path: &str,
-    err: &mut String,
-) -> Result<StoreReader<std::io::BufReader<std::fs::File>>, CliError> {
+fn open_store(path: &str, err: &mut String) -> Result<StoreReader, CliError> {
     let reader = StoreReader::open(std::path::Path::new(path)).map_err(|e| store_error(path, e))?;
     let info = *reader.info();
     if info.recovered_index {
@@ -733,7 +730,7 @@ fn open_store(
 /// (inline when nested in a batch worker), degrading corrupt blocks to
 /// a single deduped warning line appended to `err`.
 fn store_replay(
-    reader: &mut StoreReader<std::io::BufReader<std::fs::File>>,
+    reader: &mut StoreReader,
     observers: &mut [&mut dyn TraceObserver],
     name: &str,
     err: &mut String,
@@ -769,7 +766,7 @@ fn store_replay(
 /// replay that skipped blocks has lost opens/closes, which must degrade
 /// (counted, warned) rather than poison the graph.
 fn store_graph(
-    reader: &mut StoreReader<std::io::BufReader<std::fs::File>>,
+    reader: &mut StoreReader,
     name: &str,
     err: &mut String,
 ) -> Result<spm_core::CallLoopGraph, CliError> {
@@ -1294,7 +1291,7 @@ fn pack_through_failpoint(
 fn cmd_info(parsed: &ParsedArgs) -> Result<(), CliError> {
     let path = parsed.positional("storefile")?;
     let mut err = String::new();
-    let mut reader = open_store(path, &mut err)?;
+    let reader = open_store(path, &mut err)?;
     let info = *reader.info();
     let key = reader.content_key().map_err(|e| store_error(path, e))?;
     println!("store: {path}");

@@ -91,7 +91,7 @@ fn keyed_artifact(kind: ArtifactKind, path: &Path) -> Result<(Artifact, Vec<u8>)
     };
     let object = match kind {
         ArtifactKind::Store => {
-            let mut reader = StoreReader::open(path).map_err(|e| store_err(path, e))?;
+            let reader = StoreReader::open(path).map_err(|e| store_err(path, e))?;
             reader.content_key().map_err(|e| store_err(path, e))?
         }
         ArtifactKind::Metrics => {

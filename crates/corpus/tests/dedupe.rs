@@ -9,7 +9,6 @@ use spm_sim::run;
 use spm_store::format::{fnv1a64, FRAME_LEN};
 use spm_store::{StoreReader, StoreWriter};
 use std::collections::BTreeMap;
-use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 fn program() -> Program {
@@ -182,7 +181,7 @@ proptest! {
         let work = TempDir::new(&format!("mutate-work-{seed}-{flip}"));
         let corpus = TempDir::new(&format!("mutate-corpus-{seed}-{flip}"));
         let bytes = pack(seed);
-        let meta = StoreReader::new(Cursor::new(bytes.clone())).expect("open").index()[0];
+        let meta = StoreReader::from_bytes(bytes.clone()).expect("open").index()[0];
         let mut mutated = bytes.clone();
         let at = meta.offset as usize + FRAME_LEN;
         mutated[at] ^= if flip == 0 { 1 } else { flip };

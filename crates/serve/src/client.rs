@@ -37,7 +37,8 @@ pub struct SendConfig {
     pub addr: String,
     /// Session name (keys server-side state and journal files).
     pub session: String,
-    /// Pre-encoding block budget in bytes.
+    /// Pre-encoding block budget in bytes (floored at 64, as in
+    /// [`spm_store::StoreWriter::with_block_budget`]).
     pub block_budget: usize,
     /// Backoff between `BUSY` retries.
     pub busy_backoff: Duration,
@@ -171,7 +172,7 @@ pub fn send_events(
     config: &SendConfig,
     events: &[(u64, TraceEvent)],
 ) -> Result<SendOutcome, ServeError> {
-    let blocks = proto::chunk_events(events, config.block_budget.max(64));
+    let blocks = proto::chunk_events(events, config.block_budget);
     let mut outcome = SendOutcome {
         blocks_sent: 0,
         events_sent: 0,

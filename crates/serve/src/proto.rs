@@ -19,9 +19,9 @@
 //! never panics on hostile input.
 
 use spm_core::Marker;
-use spm_sim::TraceEvent;
+use spm_sim::{TraceEvent, TraceObserver};
 use spm_store::format::{fnv1a64, BlockMeta, FRAME_LEN};
-use spm_store::Compression;
+use spm_store::{Compression, StoreWriter};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -693,56 +693,27 @@ fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Chunks an in-memory event stream into wire blocks of at most
-/// `budget` encoded bytes, mirroring the store writer's per-block
-/// delta-base reset (each block's deltas accumulate from its
-/// `start_icount`, which equals the previous block's `end_icount`).
+/// Chunks an in-memory event stream into wire blocks with the store
+/// writer itself: the events are packed into an in-memory container
+/// with a `budget`-byte block budget (at least 64, the writer's floor)
+/// and each block's payload is sliced out of it. Wire blocks are
+/// therefore exactly the blocks `spm pack` would write.
 pub fn chunk_events(events: &[(u64, TraceEvent)], budget: usize) -> Vec<WireBlock> {
-    let budget = budget.max(1);
-    let mut blocks = Vec::new();
-    let mut payload = Vec::new();
-    let mut block_events = 0u32;
-    let mut first_seq = 0u64;
-    let mut start_icount = 0u64;
-    let mut last_icount = 0u64;
-    let mut seq = 0u64;
-    for (icount, event) in events {
-        let delta = icount.saturating_sub(last_icount);
-        last_icount = last_icount.max(*icount);
-        spm_sim::record::encode_event(&mut payload, delta, event);
-        block_events += 1;
-        seq += 1;
-        if payload.len() >= budget {
-            blocks.push(WireBlock {
-                meta: BlockMeta {
-                    offset: 0,
-                    first_seq,
-                    start_icount,
-                    end_icount: last_icount,
-                    events: block_events,
-                    payload_len: payload.len() as u32,
-                },
-                payload: std::mem::take(&mut payload),
-            });
-            block_events = 0;
-            first_seq = seq;
-            start_icount = last_icount;
-        }
-    }
-    if block_events > 0 {
-        blocks.push(WireBlock {
-            meta: BlockMeta {
-                offset: 0,
-                first_seq,
-                start_icount,
-                end_icount: last_icount,
-                events: block_events,
-                payload_len: payload.len() as u32,
-            },
-            payload,
-        });
-    }
-    blocks
+    let mut bytes = Vec::new();
+    let mut writer = StoreWriter::with_block_budget(&mut bytes, budget);
+    writer.on_batch(events);
+    writer.checkpoint();
+    let index = writer.index().to_vec();
+    index
+        .into_iter()
+        .map(|meta| {
+            let at = meta.offset as usize + FRAME_LEN;
+            WireBlock {
+                payload: bytes[at..at + meta.payload_len as usize].to_vec(),
+                meta: BlockMeta { offset: 0, ..meta },
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -829,6 +800,23 @@ mod tests {
                 all.extend(b.decode_events().unwrap());
             }
             assert_eq!(all, evs, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn chunks_are_the_blocks_a_packed_store_holds() {
+        let evs = events();
+        let mut bytes = Vec::new();
+        let mut writer = StoreWriter::with_block_budget(&mut bytes, 64);
+        writer.on_batch(&evs);
+        writer.finish().unwrap();
+        let reader = spm_store::StoreReader::from_bytes(bytes.clone()).unwrap();
+        let blocks = chunk_events(&evs, 64);
+        assert_eq!(blocks.len(), reader.index().len());
+        for (block, meta) in blocks.iter().zip(reader.index()) {
+            assert_eq!(block.meta, BlockMeta { offset: 0, ..*meta });
+            let at = meta.offset as usize + FRAME_LEN;
+            assert_eq!(block.payload, bytes[at..at + meta.payload_len as usize]);
         }
     }
 

@@ -17,6 +17,9 @@
 //!
 //! - **Streaming ingest** with bounded memory — [`StoreWriter`] is a
 //!   `TraceObserver`, holding one block plus the index.
+//! - **One read path** — [`StoreReader`] parses one byte slice (the
+//!   memory-mapped file, or the file read whole where mapping is
+//!   unavailable), so every block is a bounds-checked zero-copy slice.
 //! - **O(log B) random access** — [`StoreReader::replay_from_seq`] and
 //!   [`StoreReader::replay_from_icount`] binary-search the index.
 //! - **Parallel decode** — blocks are self-contained, so

@@ -4,12 +4,12 @@
 //! binds `mmap(2)`/`munmap(2)` directly (the workspace takes no
 //! external crates) so [`StoreReader`](crate::StoreReader) can decode
 //! block payloads as zero-copy slices of the page cache instead of
-//! copying them through a `BufReader`. Every unsafe block carries a
-//! SAFETY comment; the rest of the crate stays `deny(unsafe_code)`.
+//! reading the file into memory. Every unsafe block carries a SAFETY
+//! comment; the rest of the crate stays `deny(unsafe_code)`.
 //!
 //! Mapping is strictly an optimization: [`Mmap::map`] returns `None`
 //! whenever the platform is not unix, the file is empty, or the kernel
-//! refuses the mapping, and callers fall back to buffered reads. The
+//! refuses the mapping, and the reader then reads the file whole. The
 //! mapping is private (`MAP_PRIVATE`) and read-only (`PROT_READ`), so
 //! it can never write back to the store.
 #![allow(unsafe_code)]
@@ -51,7 +51,7 @@ mod unix {
     impl Mmap {
         /// Maps `len` bytes of `file` read-only. Returns `None` when
         /// the kernel refuses (or the request is degenerate), in which
-        /// case the caller keeps its buffered-read path.
+        /// case the caller reads the file whole instead.
         pub(crate) fn map(file: &File, len: u64) -> Option<Self> {
             let len = usize::try_from(len).ok()?;
             if len == 0 {
@@ -102,8 +102,8 @@ mod unix {
 #[cfg(unix)]
 pub(crate) use unix::Mmap;
 
-/// Non-unix placeholder: uninhabited, so the mapped path is statically
-/// unreachable and `map` always reports "no mapping".
+/// Non-unix placeholder: uninhabited, so a mapping can never exist and
+/// `map` always reports "no mapping".
 #[cfg(not(unix))]
 #[derive(Debug)]
 pub(crate) enum Mmap {}

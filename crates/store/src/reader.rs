@@ -1,14 +1,15 @@
 //! Random access and replay: [`StoreReader`] opens an `spmstk01`
 //! container, verifies its index, and replays events to observers —
-//! sequentially or with parallel block decode — never holding more than
-//! a bounded window of blocks (plus the index) in memory.
+//! sequentially or with parallel block decode.
 //!
-//! When the container is a real file on a unix platform, `open` also
-//! memory-maps it ([`crate::mmap`]): block payloads are then verified
-//! and decoded directly from the page cache as zero-copy slices, with
-//! no per-block seek/read/allocate cycle. The mapping is strictly an
-//! optimization — any source (and any platform without `mmap`) takes
-//! the buffered-read path with identical results.
+//! The reader parses one byte slice. [`StoreReader::open`] memory-maps
+//! the file ([`crate::mmap`]), so block payloads are verified and
+//! decoded directly from the page cache as zero-copy slices; only where
+//! the platform or the kernel declines the mapping is the file read
+//! whole instead. [`StoreReader::from_bytes`] parses bytes already in
+//! memory. Every structure read — header, footer, index, recovery walk,
+//! content key, replay — goes through the same bounds-checked block
+//! accessor, so hostile bytes produce typed errors, never panics.
 
 use crate::format::{
     fnv1a64, BlockMeta, Compression, Footer, SyncPolicy, COMPRESSION_OFFSET, FOOTER_LEN, FRAME_LEN,
@@ -18,7 +19,7 @@ use crate::mmap::Mmap;
 use crate::StoreError;
 use spm_sim::record::{decode_event, DecodeError};
 use spm_sim::{TraceEvent, TraceObserver};
-use std::io::{Read, Seek, SeekFrom};
+use std::path::Path;
 
 /// Below this many blocks, `par_replay` decodes inline on the calling
 /// thread: worker handoff would cost more than the decode itself.
@@ -92,129 +93,121 @@ impl StoreReplayReport {
     }
 }
 
-/// Reads an `spmstk01` container with bounded memory: the index is
-/// resident; payloads are read one block (sequential replay) or one
-/// decode batch (parallel replay) at a time.
+/// Reads an `spmstk01` container held as one byte slice: a read-only
+/// file mapping, or the whole file read into memory where mapping is
+/// unavailable. The index is parsed once; payloads are verified and
+/// decoded straight out of the slice, one block (sequential replay) or
+/// one decode batch (parallel replay) at a time.
 #[derive(Debug)]
-pub struct StoreReader<R: Read + Seek> {
-    source: R,
+pub struct StoreReader {
+    bytes: Bytes,
     index: Vec<BlockMeta>,
     info: StoreInfo,
-    /// Read-only map of the whole container when the source is a real
-    /// file and the platform supports it; `None` falls back to seeking
-    /// and reading through `source`.
-    mapped: Option<Mmap>,
 }
 
-impl StoreReader<std::io::BufReader<std::fs::File>> {
-    /// Opens a container file, memory-mapping it when the platform
-    /// allows so replay decodes payloads as zero-copy slices (buffered
-    /// reads otherwise — the results are identical).
+/// The container's bytes.
+#[derive(Debug)]
+enum Bytes {
+    Mapped(Mmap),
+    Owned(Vec<u8>),
+}
+
+impl std::ops::Deref for Bytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Bytes::Mapped(map) => map.as_slice(),
+            Bytes::Owned(bytes) => bytes,
+        }
+    }
+}
+
+impl StoreReader {
+    /// Opens a container file. The file is memory-mapped, so replay
+    /// decodes payloads as zero-copy slices; where the platform or the
+    /// kernel declines the mapping it is read whole instead, with
+    /// identical results.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] if the file cannot be read, or
     /// [`StoreError::Corrupt`] if it is not a readable `spmstk01`
-    /// container (see [`StoreReader::new`] for the recovery the reader
-    /// attempts first).
-    pub fn open(path: &std::path::Path) -> Result<Self, StoreError> {
-        let file = std::fs::File::open(path).map_err(|e| StoreError::Io {
+    /// container (see [`StoreReader::from_bytes`] for the recovery the
+    /// reader attempts first).
+    pub fn open(path: &Path) -> Result<Self, StoreError> {
+        let io_err = |e: std::io::Error| StoreError::Io {
             message: e.to_string(),
-        })?;
+        };
+        let file = std::fs::File::open(path).map_err(io_err)?;
         let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        let mapped = Mmap::map(&file, len);
-        let mut reader = Self::new(std::io::BufReader::new(file))?;
-        reader.mapped = mapped;
-        Ok(reader)
+        let bytes = match Mmap::map(&file, len) {
+            Some(map) => Bytes::Mapped(map),
+            None => Bytes::Owned(std::fs::read(path).map_err(io_err)?),
+        };
+        Self::parse(bytes)
     }
-}
 
-impl<R: Read + Seek> StoreReader<R> {
-    /// Opens a container from any seekable byte source, reading the
-    /// header, footer, and index (verified against its checksum).
+    /// Opens a container held in memory, reading the header, footer,
+    /// and index (verified against its checksum).
     ///
-    /// A truncated or footer-corrupted file is not fatal: the reader
-    /// falls back to walking block frames from the top and rebuilds the
-    /// index from every frame that chains consistently, so the
-    /// decodable prefix stays reachable ([`StoreInfo::recovered_index`]
+    /// A truncated or footer-corrupted container is not fatal: the
+    /// reader falls back to walking block frames from the top and
+    /// rebuilds the index from every frame that chains consistently, so
+    /// the decodable prefix stays reachable ([`StoreInfo::recovered_index`]
     /// reports this).
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on read failures; [`StoreError::Corrupt`] if
-    /// the head magic is wrong (not a store at all) or the version is
+    /// [`StoreError::Corrupt`] if the head magic is wrong (not a store
+    /// at all), the header is short, or the version or codec byte is
     /// unsupported.
-    pub fn new(mut source: R) -> Result<Self, StoreError> {
-        let io_err = |e: std::io::Error| StoreError::Io {
-            message: e.to_string(),
-        };
-        let file_bytes = source.seek(SeekFrom::End(0)).map_err(io_err)?;
-        source.seek(SeekFrom::Start(0)).map_err(io_err)?;
-        let mut header = [0u8; HEADER_LEN];
-        let present = file_bytes.min(HEADER_LEN as u64) as usize;
-        source.read_exact(&mut header[..present]).map_err(io_err)?;
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, StoreError> {
+        Self::parse(Bytes::Owned(bytes))
+    }
+
+    fn parse(bytes: Bytes) -> Result<Self, StoreError> {
+        let corrupt = |error: DecodeError| StoreError::Corrupt { block: None, error };
+        let data: &[u8] = &bytes;
+        let file_bytes = data.len() as u64;
+        let header = &data[..data.len().min(HEADER_LEN)];
         // Sniff the magic before the length, so a short file of some
         // other kind reads as "not a store" rather than a truncated one.
-        let sniffed = present.min(MAGIC_PREFIX.len());
+        let sniffed = header.len().min(MAGIC_PREFIX.len());
         if header[..sniffed] != MAGIC_PREFIX[..sniffed] {
-            return Err(StoreError::Corrupt {
-                block: None,
-                error: DecodeError::BadMagic,
-            });
+            return Err(corrupt(DecodeError::BadMagic));
         }
-        if present < HEADER_LEN {
-            return Err(StoreError::Corrupt {
-                block: None,
-                error: DecodeError::Truncated { offset: present },
-            });
+        if header.len() < HEADER_LEN {
+            return Err(corrupt(DecodeError::Truncated {
+                offset: header.len(),
+            }));
         }
         if &header[..8] != MAGIC {
-            return Err(StoreError::Corrupt {
-                block: None,
-                error: DecodeError::UnsupportedVersion {
-                    version: [header[6], header[7]],
-                },
-            });
+            return Err(corrupt(DecodeError::UnsupportedVersion {
+                version: [header[6], header[7]],
+            }));
         }
-        let block_budget = crate::format::read_u32_le(&header, 8)
-            .map_err(|error| StoreError::Corrupt { block: None, error })?;
+        let block_budget = crate::format::read_u32_le(header, 8).map_err(corrupt)?;
         let sync_policy = SyncPolicy::from_header_byte(header[SYNC_POLICY_OFFSET]);
         // Unlike the sync byte (which only describes how the file was
         // written), an unknown codec byte cannot be defaulted: decoding
         // payloads under the wrong codec would yield garbage, so the
         // container is rejected as corrupt.
         let compression = Compression::from_header_byte(header[COMPRESSION_OFFSET]).ok_or(
-            StoreError::Corrupt {
-                block: None,
-                error: DecodeError::BadTag {
-                    tag: header[COMPRESSION_OFFSET],
-                    offset: COMPRESSION_OFFSET,
-                },
-            },
+            corrupt(DecodeError::BadTag {
+                tag: header[COMPRESSION_OFFSET],
+                offset: COMPRESSION_OFFSET,
+            }),
         )?;
 
-        match Self::read_footer_index(&mut source, file_bytes) {
-            Ok((footer, index)) => {
-                let payload_bytes = index.iter().map(|m| u64::from(m.payload_len)).sum();
-                Ok(Self {
-                    source,
-                    index,
-                    info: StoreInfo {
-                        blocks: footer.block_count,
-                        events: footer.total_events,
-                        total_icount: footer.total_icount,
-                        block_budget,
-                        block_dims: footer.block_dims,
-                        payload_bytes,
-                        file_bytes,
-                        recovered_index: false,
-                        sync_policy,
-                        recovered_tail_bytes: 0,
-                        compression,
-                    },
-                    mapped: None,
-                })
-            }
+        let (index, events, total_icount, block_dims, recovered_tail) = match footer_index(data) {
+            Ok((footer, index)) => (
+                index,
+                footer.total_events,
+                footer.total_icount,
+                footer.block_dims,
+                None,
+            ),
             Err(error) => {
                 // Footer/index unreadable: rebuild what we can by
                 // walking frames, and say so through the structured
@@ -223,132 +216,34 @@ impl<R: Read + Seek> StoreReader<R> {
                     "store/recovered-index",
                     &[("reason", error.to_string().into())],
                 );
-                let index = Self::walk_frames(&mut source, file_bytes)?;
-                let payload_bytes = index.iter().map(|m| u64::from(m.payload_len)).sum();
-                let events = index.last().map_or(0, |m| m.end_seq());
-                let total_icount = index.last().map_or(0, |m| m.end_icount);
-                let blocks = index.len() as u64;
-                let committed_end = index.last().map_or(HEADER_LEN as u64, |m| {
+                let index = walk_frames(data);
+                let last = index.last().copied();
+                let committed_end = last.map_or(HEADER_LEN as u64, |m| {
                     m.offset + FRAME_LEN as u64 + u64::from(m.payload_len)
                 });
-                Ok(Self {
-                    source,
+                (
                     index,
-                    info: StoreInfo {
-                        blocks,
-                        events,
-                        total_icount,
-                        block_budget,
-                        block_dims: 0,
-                        payload_bytes,
-                        file_bytes,
-                        recovered_index: true,
-                        sync_policy,
-                        recovered_tail_bytes: file_bytes.saturating_sub(committed_end),
-                        compression,
-                    },
-                    mapped: None,
-                })
+                    last.map_or(0, |m| m.end_seq()),
+                    last.map_or(0, |m| m.end_icount),
+                    0,
+                    Some(file_bytes.saturating_sub(committed_end)),
+                )
             }
-        }
-    }
-
-    /// Reads and verifies the footer and index.
-    fn read_footer_index(
-        source: &mut R,
-        file_bytes: u64,
-    ) -> Result<(Footer, Vec<BlockMeta>), StoreError> {
-        let io_err = |e: std::io::Error| StoreError::Io {
-            message: e.to_string(),
         };
-        let corrupt = |error: DecodeError| StoreError::Corrupt { block: None, error };
-        if file_bytes < (HEADER_LEN + FOOTER_LEN) as u64 {
-            return Err(corrupt(DecodeError::Truncated {
-                offset: file_bytes as usize,
-            }));
-        }
-        source
-            .seek(SeekFrom::Start(file_bytes - FOOTER_LEN as u64))
-            .map_err(io_err)?;
-        let mut raw = [0u8; FOOTER_LEN];
-        source.read_exact(&mut raw).map_err(io_err)?;
-        let footer = Footer::decode(&raw).map_err(corrupt)?;
-        let index_len = footer
-            .block_count
-            .checked_mul(INDEX_ENTRY_LEN as u64)
-            .filter(|len| {
-                footer.index_offset >= HEADER_LEN as u64
-                    && footer.index_offset + len + FOOTER_LEN as u64 == file_bytes
-            })
-            .ok_or_else(|| {
-                corrupt(DecodeError::LengthMismatch {
-                    declared: footer.block_count,
-                    actual: file_bytes,
-                })
-            })?;
-        source
-            .seek(SeekFrom::Start(footer.index_offset))
-            .map_err(io_err)?;
-        let mut index_bytes = vec![0u8; index_len as usize];
-        source.read_exact(&mut index_bytes).map_err(io_err)?;
-        let actual = fnv1a64(&index_bytes);
-        if actual != footer.index_checksum {
-            return Err(corrupt(DecodeError::ChecksumMismatch {
-                expected: footer.index_checksum,
-                actual,
-            }));
-        }
-        let index = (0..footer.block_count as usize)
-            .map(|i| BlockMeta::decode_index_entry(&index_bytes, i * INDEX_ENTRY_LEN))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(corrupt)?;
-        Ok((footer, index))
-    }
-
-    /// Fallback for files without a readable footer: walk block frames
-    /// from the top, keeping every frame that chains consistently
-    /// (monotonic sequence numbers and watermarks) *and* whose payload
-    /// passes its checksum, and stop at the first frame that does not.
-    ///
-    /// The checksum requirement is what makes recovery safe on a torn
-    /// tail: a partially written block never joins the rebuilt index,
-    /// so a recovered store surfaces no partial events and its reported
-    /// totals count only blocks replay will actually deliver.
-    fn walk_frames(source: &mut R, file_bytes: u64) -> Result<Vec<BlockMeta>, StoreError> {
-        let io_err = |e: std::io::Error| StoreError::Io {
-            message: e.to_string(),
+        let info = StoreInfo {
+            blocks: index.len() as u64,
+            events,
+            total_icount,
+            block_budget,
+            block_dims,
+            payload_bytes: index.iter().map(|m| u64::from(m.payload_len)).sum(),
+            file_bytes,
+            recovered_index: recovered_tail.is_some(),
+            sync_policy,
+            recovered_tail_bytes: recovered_tail.unwrap_or(0),
+            compression,
         };
-        let mut index = Vec::new();
-        let mut offset = HEADER_LEN as u64;
-        let mut next_seq = 0u64;
-        let mut next_icount = 0u64;
-        while offset + FRAME_LEN as u64 <= file_bytes {
-            source.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-            let mut raw = [0u8; FRAME_LEN];
-            source.read_exact(&mut raw).map_err(io_err)?;
-            let Ok((meta, declared)) = BlockMeta::decode_frame(&raw, offset) else {
-                break;
-            };
-            let end = offset + FRAME_LEN as u64 + u64::from(meta.payload_len);
-            let chains = meta.first_seq == next_seq
-                && meta.start_icount == next_icount
-                && meta.end_icount >= meta.start_icount
-                && meta.events > 0
-                && end <= file_bytes;
-            if !chains {
-                break;
-            }
-            let mut payload = vec![0u8; meta.payload_len as usize];
-            source.read_exact(&mut payload).map_err(io_err)?;
-            if fnv1a64(&payload) != declared {
-                break;
-            }
-            next_seq = meta.end_seq();
-            next_icount = meta.end_icount;
-            index.push(meta);
-            offset = end;
-        }
-        Ok(index)
+        Ok(Self { bytes, index, info })
     }
 
     /// Container-level facts.
@@ -376,58 +271,22 @@ impl<R: Read + Seek> StoreReader<R> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if the source cannot be re-read, or
     /// [`StoreError::Corrupt`] if an indexed block lies outside the
-    /// file.
-    pub fn content_key(&mut self) -> Result<u64, StoreError> {
-        let io_err = |e: std::io::Error| StoreError::Io {
-            message: e.to_string(),
-        };
-        let truncated = |block: usize, offset: u64| StoreError::Corrupt {
-            block: Some(block as u64),
-            error: DecodeError::Truncated {
-                offset: offset as usize,
-            },
-        };
+    /// container.
+    pub fn content_key(&self) -> Result<u64, StoreError> {
+        let data: &[u8] = &self.bytes;
         let mut acc: Vec<u8> =
             Vec::with_capacity(HEADER_LEN + self.index.len() * (FRAME_LEN + 8) + 16);
-        if let Some(map) = &self.mapped {
-            let data = map.as_slice();
-            let header = data.get(..HEADER_LEN).ok_or_else(|| truncated(0, 0))?;
-            acc.extend_from_slice(header);
-            for (block, meta) in self.index.iter().enumerate() {
-                let start = meta.offset as usize;
-                let end = start
-                    .checked_add(FRAME_LEN + meta.payload_len as usize)
-                    .filter(|&end| end <= data.len())
-                    .ok_or_else(|| truncated(block, meta.offset))?;
-                acc.extend_from_slice(&data[start..start + FRAME_LEN]);
-                let payload = &data[start + FRAME_LEN..end];
-                acc.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-            }
-        } else {
-            self.source.seek(SeekFrom::Start(0)).map_err(io_err)?;
-            let mut header = [0u8; HEADER_LEN];
-            self.source.read_exact(&mut header).map_err(io_err)?;
-            acc.extend_from_slice(&header);
-            let mut payload = Vec::new();
-            for block in 0..self.index.len() {
-                let meta = self.index[block];
-                self.source
-                    .seek(SeekFrom::Start(meta.offset))
-                    .map_err(io_err)?;
-                let mut frame = [0u8; FRAME_LEN];
-                self.source
-                    .read_exact(&mut frame)
-                    .map_err(|_| truncated(block, meta.offset))?;
-                payload.clear();
-                payload.resize(meta.payload_len as usize, 0);
-                self.source
-                    .read_exact(&mut payload)
-                    .map_err(|_| truncated(block, meta.offset))?;
-                acc.extend_from_slice(&frame);
-                acc.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-            }
+        // `parse` rejected anything shorter than a header.
+        acc.extend_from_slice(&data[..HEADER_LEN]);
+        for (block, meta) in self.index.iter().enumerate() {
+            let (frame, payload) =
+                block_bytes(data, *meta).map_err(|error| StoreError::Corrupt {
+                    block: Some(block as u64),
+                    error,
+                })?;
+            acc.extend_from_slice(frame);
+            acc.extend_from_slice(&fnv1a64(payload).to_le_bytes());
         }
         acc.extend_from_slice(&self.info.events.to_le_bytes());
         acc.extend_from_slice(&self.info.total_icount.to_le_bytes());
@@ -452,61 +311,17 @@ impl<R: Read + Seek> StoreReader<R> {
         Some(self.index.partition_point(|m| m.end_icount <= icount))
     }
 
-    /// Reads one block's payload (without decoding) into `payload`
-    /// (cleared first, so sequential replay reuses one buffer for the
-    /// whole scan), verifying its frame header against the index and
-    /// its payload checksum.
-    fn read_block_into(&mut self, block: usize, payload: &mut Vec<u8>) -> Result<(), DecodeError> {
-        let meta = self.index[block];
-        let io_trunc = |_| DecodeError::Truncated {
-            offset: meta.offset as usize,
-        };
-        self.source
-            .seek(SeekFrom::Start(meta.offset))
-            .map_err(io_trunc)?;
-        let mut raw = [0u8; FRAME_LEN];
-        self.source.read_exact(&mut raw).map_err(io_trunc)?;
-        let (frame_meta, declared) = BlockMeta::decode_frame(&raw, meta.offset)?;
-        if frame_meta != meta {
-            // The frame header disagrees with the verified index: the
-            // frame bytes are damaged.
-            return Err(DecodeError::LengthMismatch {
-                declared: u64::from(frame_meta.payload_len),
-                actual: u64::from(meta.payload_len),
-            });
-        }
-        payload.clear();
-        payload.resize(meta.payload_len as usize, 0);
-        self.source.read_exact(payload).map_err(io_trunc)?;
-        let actual = fnv1a64(payload);
-        if actual != declared {
-            return Err(DecodeError::ChecksumMismatch {
-                expected: declared,
-                actual,
-            });
-        }
-        Ok(())
-    }
-
-    /// Owned-allocation variant of [`read_block_into`](Self::read_block_into)
-    /// for the parallel path, where each block needs its own buffer.
-    fn read_block(&mut self, block: usize) -> Result<Vec<u8>, DecodeError> {
-        let mut payload = Vec::new();
-        self.read_block_into(block, &mut payload)?;
-        Ok(payload)
-    }
-
     /// Replays every event to the observers in order, one block at a
-    /// time (peak trace memory: one block payload plus its decoded
-    /// events). Undecodable blocks are skipped with a structured
-    /// `store/skipped-block` warning; delivery resumes at the next
-    /// block, whose metadata restores the sequence and instruction
-    /// watermarks.
+    /// time (peak decode memory: one block's events). Undecodable
+    /// blocks are skipped with a structured `store/skipped-block`
+    /// warning; delivery resumes at the next block, whose metadata
+    /// restores the sequence and instruction watermarks.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] only; corruption degrades to skips, reported
-    /// in the [`StoreReplayReport`].
+    /// None in practice: the container is already in memory, and
+    /// corruption degrades to skips reported in the
+    /// [`StoreReplayReport`].
     pub fn replay(
         &mut self,
         observers: &mut [&mut dyn TraceObserver],
@@ -544,7 +359,7 @@ impl<R: Read + Seek> StoreReader<R> {
     }
 
     fn replay_blocks(
-        &mut self,
+        &self,
         first_block: usize,
         min_seq: u64,
         observers: &mut [&mut dyn TraceObserver],
@@ -552,31 +367,16 @@ impl<R: Read + Seek> StoreReader<R> {
         let mut span = spm_obs::span("store/replay");
         let mut report = StoreReplayReport::default();
         let compression = self.info.compression;
+        let data: &[u8] = &self.bytes;
         // One arena reused across every block: decode allocates once
         // for the whole replay, and delivery is one `on_batch` call
         // per observer per block.
         let mut arena: Vec<(u64, TraceEvent)> = Vec::new();
-        if let Some(map) = &self.mapped {
-            // Zero-copy path: payloads are verified and decoded
-            // straight out of the mapping, with no seek/read cycle.
-            let data = map.as_slice();
-            for block in first_block..self.index.len() {
-                let meta = self.index[block];
-                let decoded = mapped_block(data, meta)
-                    .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena))
-                    .map(|()| arena.as_slice());
-                deliver_decoded(&mut report, block as u64, meta, decoded, min_seq, observers);
-            }
-        } else {
-            let mut scratch: Vec<u8> = Vec::new();
-            for block in first_block..self.index.len() {
-                let meta = self.index[block];
-                let decoded = self
-                    .read_block_into(block, &mut scratch)
-                    .and_then(|()| decode_block_into(&scratch, meta, compression, &mut arena))
-                    .map(|()| arena.as_slice());
-                deliver_decoded(&mut report, block as u64, meta, decoded, min_seq, observers);
-            }
+        for (block, &meta) in self.index.iter().enumerate().skip(first_block) {
+            let decoded = verified_payload(data, meta)
+                .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena))
+                .map(|()| arena.as_slice());
+            deliver_decoded(&mut report, block as u64, meta, decoded, min_seq, observers);
         }
         finish_replay_span(&mut span, &report);
         Ok(report)
@@ -584,9 +384,10 @@ impl<R: Read + Seek> StoreReader<R> {
 
     /// Like [`replay`](Self::replay), but fans block decoding out over
     /// the `spm-par` worker pool in bounded batches while delivering
-    /// events to the observers strictly in order. Peak trace memory is
-    /// O(batch × block size); output is byte-identical to the
-    /// sequential path at any worker count.
+    /// events to the observers strictly in order. Workers verify and
+    /// decode payload slices of the container directly; peak decode
+    /// memory is O(batch × block events), and output is byte-identical
+    /// to the sequential path at any worker count.
     ///
     /// When fanning out cannot pay for itself — a single-core host, or
     /// fewer blocks than the handoff is worth — the decode runs inline
@@ -609,64 +410,118 @@ impl<R: Read + Seek> StoreReader<R> {
             return self.replay_blocks(0, 0, observers);
         }
         span.field("mode", "parallel");
-        let batch = jobs * 2;
         let compression = self.info.compression;
+        let data: &[u8] = &self.bytes;
         let mut report = StoreReplayReport::default();
-        let mut block = 0usize;
-        if let Some(map) = &self.mapped {
-            // Zero-copy parallel path: workers verify and decode
-            // payload slices of the shared mapping directly — the
-            // serial I/O stage disappears entirely.
-            let data = map.as_slice();
-            while block < self.index.len() {
-                let upper = (block + batch).min(self.index.len());
-                let metas = &self.index[block..upper];
-                let decoded = spm_par::par_map(metas, |meta| {
-                    mapped_block(data, *meta)
-                        .and_then(|payload| decode_block(payload, *meta, compression))
-                });
-                for ((b, meta), events) in (block..upper).zip(metas).zip(decoded) {
-                    let events = events.as_deref().map_err(|e| *e);
-                    deliver_decoded(&mut report, b as u64, *meta, events, 0, observers);
-                }
-                block = upper;
+        let mut first = 0usize;
+        for metas in self.index.chunks(jobs * 2) {
+            let decoded = spm_par::par_map(metas, |&meta| {
+                verified_payload(data, meta)
+                    .and_then(|payload| decode_block(payload, meta, compression))
+            });
+            for ((block, &meta), events) in (first..).zip(metas).zip(decoded) {
+                let events = events.as_deref().map_err(|e| *e);
+                deliver_decoded(&mut report, block as u64, meta, events, 0, observers);
             }
-        } else {
-            while block < self.index.len() {
-                let upper = (block + batch).min(self.index.len());
-                // Serial I/O: read the batch's payloads (checksum-verified).
-                let mut payloads: Vec<(u64, BlockMeta, Result<Vec<u8>, DecodeError>)> = Vec::new();
-                for b in block..upper {
-                    let meta = self.index[b];
-                    payloads.push((b as u64, meta, self.read_block(b)));
-                }
-                // Parallel decode: each block decodes independently thanks
-                // to its per-block delta base and sequence watermark.
-                let decoded = spm_par::par_map(&payloads, |(_, meta, payload)| match payload {
-                    Ok(payload) => decode_block(payload, *meta, compression),
-                    Err(error) => Err(*error),
-                });
-                // In-order delivery.
-                for ((b, meta, _), events) in payloads.iter().zip(decoded) {
-                    let events = events.as_deref().map_err(|e| *e);
-                    deliver_decoded(&mut report, *b, *meta, events, 0, observers);
-                }
-                block = upper;
-            }
+            first += metas.len();
         }
         finish_replay_span(&mut span, &report);
         Ok(report)
     }
 }
 
-/// Verifies one block directly against the file mapping — the frame
-/// header must match the verified index entry and the payload its
-/// checksum — and returns the payload as a zero-copy slice.
-fn mapped_block(data: &[u8], meta: BlockMeta) -> Result<&[u8], DecodeError> {
-    let start = meta.offset as usize;
-    let frame = data
-        .get(start..start.saturating_add(FRAME_LEN))
+/// Reads and verifies the footer and index. Every offset and length
+/// the footer declares is untrusted (the footer has no checksum of its
+/// own), so the arithmetic is checked: a footer that does not describe
+/// exactly the bytes before it is a typed error, never a panic.
+fn footer_index(data: &[u8]) -> Result<(Footer, Vec<BlockMeta>), StoreError> {
+    let corrupt = |error: DecodeError| StoreError::Corrupt { block: None, error };
+    let file_bytes = data.len() as u64;
+    if data.len() < HEADER_LEN + FOOTER_LEN {
+        return Err(corrupt(DecodeError::Truncated { offset: data.len() }));
+    }
+    let footer_at = data.len() - FOOTER_LEN;
+    let footer = Footer::decode(&data[footer_at..]).map_err(corrupt)?;
+    let index_bytes = footer
+        .block_count
+        .checked_mul(INDEX_ENTRY_LEN as u64)
+        .and_then(|len| footer.index_offset.checked_add(len))
+        .filter(|&end| footer.index_offset >= HEADER_LEN as u64 && end == footer_at as u64)
+        .map(|_| &data[footer.index_offset as usize..footer_at])
+        .ok_or_else(|| {
+            corrupt(DecodeError::LengthMismatch {
+                declared: footer.block_count,
+                actual: file_bytes,
+            })
+        })?;
+    let actual = fnv1a64(index_bytes);
+    if actual != footer.index_checksum {
+        return Err(corrupt(DecodeError::ChecksumMismatch {
+            expected: footer.index_checksum,
+            actual,
+        }));
+    }
+    let index = index_bytes
+        .chunks_exact(INDEX_ENTRY_LEN)
+        .map(|entry| BlockMeta::decode_index_entry(entry, 0))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(corrupt)?;
+    Ok((footer, index))
+}
+
+/// Fallback for containers without a readable footer: walk block
+/// frames from the top, keeping every frame that chains consistently
+/// (monotonic sequence numbers and watermarks) *and* whose payload
+/// passes its checksum, and stop at the first frame that does not.
+///
+/// The checksum requirement is what makes recovery safe on a torn
+/// tail: a partially written block never joins the rebuilt index, so a
+/// recovered store surfaces no partial events and its reported totals
+/// count only blocks replay will actually deliver.
+fn walk_frames(data: &[u8]) -> Vec<BlockMeta> {
+    let mut index = Vec::new();
+    let mut offset = HEADER_LEN;
+    let mut next_seq = 0u64;
+    let mut next_icount = 0u64;
+    while let Some(frame) = data.get(offset..offset + FRAME_LEN) {
+        let Ok((meta, _)) = BlockMeta::decode_frame(frame, offset as u64) else {
+            break;
+        };
+        let chains = meta.first_seq == next_seq
+            && meta.start_icount == next_icount
+            && meta.end_icount >= meta.start_icount
+            && meta.events > 0;
+        if !chains || verified_payload(data, meta).is_err() {
+            break;
+        }
+        next_seq = meta.end_seq();
+        next_icount = meta.end_icount;
+        index.push(meta);
+        offset += FRAME_LEN + meta.payload_len as usize;
+    }
+    index
+}
+
+/// The bounds-checked view of one block: its frame header and its
+/// stored payload, as slices of the container.
+fn block_bytes(data: &[u8], meta: BlockMeta) -> Result<(&[u8], &[u8]), DecodeError> {
+    let start = usize::try_from(meta.offset).unwrap_or(usize::MAX);
+    let at = start
+        .checked_add(FRAME_LEN)
+        .filter(|&at| at <= data.len())
         .ok_or(DecodeError::Truncated { offset: start })?;
+    let end = at
+        .checked_add(meta.payload_len as usize)
+        .filter(|&end| end <= data.len())
+        .ok_or(DecodeError::Truncated { offset: at })?;
+    Ok((&data[start..at], &data[at..end]))
+}
+
+/// Verifies one block against the container — the frame header must
+/// match `meta` and the payload its checksum — and returns the payload
+/// as a zero-copy slice.
+fn verified_payload(data: &[u8], meta: BlockMeta) -> Result<&[u8], DecodeError> {
+    let (frame, payload) = block_bytes(data, meta)?;
     let (frame_meta, declared) = BlockMeta::decode_frame(frame, meta.offset)?;
     if frame_meta != meta {
         // The frame header disagrees with the verified index: the
@@ -676,10 +531,6 @@ fn mapped_block(data: &[u8], meta: BlockMeta) -> Result<&[u8], DecodeError> {
             actual: u64::from(meta.payload_len),
         });
     }
-    let at = start + FRAME_LEN;
-    let payload = data
-        .get(at..at.saturating_add(meta.payload_len as usize))
-        .ok_or(DecodeError::Truncated { offset: at })?;
     let actual = fnv1a64(payload);
     if actual != declared {
         return Err(DecodeError::ChecksumMismatch {

@@ -196,6 +196,12 @@ impl<S: StoreIo> StoreWriter<S> {
         self.index.len() as u64
     }
 
+    /// The blocks flushed so far, in order. Each entry's `offset`
+    /// locates its frame in the bytes written to the sink.
+    pub fn index(&self) -> &[BlockMeta] {
+        &self.index
+    }
+
     /// The durable watermark right now: what a crash at this instant
     /// is guaranteed to preserve.
     pub fn committed(&self) -> CommitMark {

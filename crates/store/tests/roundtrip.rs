@@ -2,11 +2,11 @@
 //! for the `spmstk01` container, against real simulator event streams.
 
 use proptest::prelude::*;
-use spm_ir::{Input, Program, ProgramBuilder, Trip};
+use spm_ir::{Input, ProcId, Program, ProgramBuilder, Trip};
 use spm_sim::{run, TraceEvent, TraceObserver};
-use spm_store::format::{FOOTER_LEN, FRAME_LEN};
+use spm_store::format::{fnv1a64, FOOTER_LEN, FRAME_LEN, INDEX_ENTRY_LEN};
 use spm_store::{Compression, StoreReader, StoreWriter};
-use std::io::Cursor;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Records every delivered event like a plain `Vec` collector, but
 /// also counts batch boundaries — proving batch and per-event delivery
@@ -63,8 +63,24 @@ fn pack(budget: usize, seed: u64) -> (Vec<u8>, Vec<(u64, TraceEvent)>) {
     (bytes, flat)
 }
 
-fn open(bytes: Vec<u8>) -> StoreReader<Cursor<Vec<u8>>> {
-    StoreReader::new(Cursor::new(bytes)).expect("open store")
+fn open(bytes: Vec<u8>) -> StoreReader {
+    StoreReader::from_bytes(bytes).expect("open store")
+}
+
+/// Writes `bytes` to a fresh temporary file and opens it through
+/// [`StoreReader::open`], the file-backed (memory-mapped) path. The
+/// file is removed once opened; the reader keeps its own view.
+fn open_file(bytes: &[u8]) -> StoreReader {
+    static SERIAL: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "spm-roundtrip-{}-{}.spmstk",
+        std::process::id(),
+        SERIAL.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).expect("write store file");
+    let reader = StoreReader::open(&path);
+    std::fs::remove_file(&path).ok();
+    reader.expect("open store file")
 }
 
 #[test]
@@ -118,7 +134,7 @@ fn truncated_footer_recovers_block_prefix() {
     let mut truncated = bytes;
     truncated.truncate(cut_at);
 
-    let mut reader = StoreReader::new(Cursor::new(truncated)).expect("recovering open");
+    let mut reader = StoreReader::from_bytes(truncated).expect("recovering open");
     assert!(reader.info().recovered_index);
     assert_eq!(reader.info().events, kept_events);
     let mut got = Vec::new();
@@ -151,20 +167,16 @@ fn content_key_identifies_committed_content() {
     drop(reader);
     let mut torn = bytes.clone();
     torn.truncate((last.offset + FRAME_LEN as u64 + u64::from(last.payload_len)) as usize);
-    let mut recovered = StoreReader::new(Cursor::new(torn)).expect("recovering open");
+    let recovered = StoreReader::from_bytes(torn).expect("recovering open");
     assert!(recovered.info().recovered_index);
     assert_eq!(recovered.content_key().expect("key"), key);
 }
 
 #[test]
-fn content_key_is_identical_on_mapped_and_buffered_paths() {
+fn content_key_is_identical_from_file_and_from_bytes() {
     let (bytes, _) = pack(256, 9);
-    let buffered = open(bytes.clone()).content_key().expect("key");
-    let path = std::env::temp_dir().join(format!("spm-content-key-{}.spmstk", std::process::id()));
-    std::fs::write(&path, &bytes).expect("write container");
-    let mapped = StoreReader::open(&path).expect("open file").content_key();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(mapped.expect("key"), buffered);
+    let in_memory = open(bytes.clone()).content_key().expect("key");
+    assert_eq!(open_file(&bytes).content_key().expect("key"), in_memory);
 }
 
 proptest! {
@@ -188,8 +200,13 @@ proptest! {
         let byte = pick % meta.payload_len as usize;
         bytes[payload_at + byte] ^= 0x55;
 
+        // The file-backed reader sees the same damage the same way.
+        let mut from_file = Vec::new();
+        let file_report = open_file(&bytes).replay(&mut [&mut from_file]).expect("replay");
         let mut got = Vec::new();
         let report = open(bytes).replay(&mut [&mut got]).expect("replay");
+        prop_assert_eq!(&file_report, &report);
+        prop_assert_eq!(&from_file, &got);
         prop_assert_eq!(report.skipped.len(), 1);
         prop_assert_eq!(report.skipped[0].block, victim as u64);
         prop_assert_eq!(report.skipped[0].events, u64::from(meta.events));
@@ -249,7 +266,7 @@ proptest! {
         let mut truncated = bytes;
         truncated.truncate(cut_at);
 
-        let mut reader = StoreReader::new(Cursor::new(truncated)).expect("recovering open");
+        let mut reader = StoreReader::from_bytes(truncated).expect("recovering open");
         prop_assert!(reader.info().recovered_index);
         prop_assert_eq!(reader.info().events, flat.len() as u64);
         prop_assert_eq!(
@@ -277,7 +294,7 @@ proptest! {
         let cut_at = header_len + pick % (bytes.len() - header_len);
         bytes.truncate(cut_at);
 
-        let mut reader = StoreReader::new(Cursor::new(bytes)).expect("recovering open");
+        let mut reader = StoreReader::from_bytes(bytes).expect("recovering open");
         prop_assert!(reader.info().recovered_index);
         prop_assert_eq!(reader.info().blocks, 0);
         prop_assert_eq!(reader.info().events, 0);
@@ -333,11 +350,10 @@ fn replay_from_icount_starts_at_covering_block() {
 
 #[test]
 fn not_a_store_is_a_typed_error() {
-    let err = StoreReader::new(Cursor::new(b"definitely not a store".to_vec()))
+    let err = StoreReader::from_bytes(b"definitely not a store".to_vec())
         .expect_err("foreign bytes are not a store");
     assert!(matches!(err, spm_store::StoreError::Corrupt { .. }));
-    let err =
-        StoreReader::new(Cursor::new(b"spmstk99xxxxxxxx".to_vec())).expect_err("unknown version");
+    let err = StoreReader::from_bytes(b"spmstk99xxxxxxxx".to_vec()).expect_err("unknown version");
     assert!(err.to_string().contains("version"));
 }
 
@@ -442,7 +458,7 @@ fn truncated_compressed_block_recovers_prefix() {
     let cut_at = victim.offset as usize + FRAME_LEN + victim.payload_len as usize / 2;
     let mut torn = bytes;
     torn.truncate(cut_at);
-    let mut reader = StoreReader::new(Cursor::new(torn)).expect("recovering open");
+    let mut reader = StoreReader::from_bytes(torn).expect("recovering open");
     assert!(reader.info().recovered_index);
     assert_eq!(reader.info().blocks, 2);
     let mut got = Vec::new();
@@ -452,33 +468,98 @@ fn truncated_compressed_block_recovers_prefix() {
 }
 
 #[test]
-fn mapped_file_replay_matches_cursor_replay() {
-    for (name, pack_fn) in [("plain", pack as fn(_, _) -> _), ("lz", pack_compressed)] {
+fn file_replay_matches_in_memory_replay() {
+    for pack_fn in [pack as fn(_, _) -> _, pack_compressed] {
         let (bytes, flat) = pack_fn(512, 77);
-        let path = std::env::temp_dir().join(format!(
-            "spm-roundtrip-mmap-{}-{name}.spmstore",
-            std::process::id()
-        ));
-        std::fs::write(&path, &bytes).expect("write store file");
-        // `open` takes the mmap fast path where the platform allows;
-        // results must match the Cursor (buffered) path exactly.
-        let mut mapped = StoreReader::open(&path).expect("open mapped");
         let mut got = Vec::new();
-        let report = mapped.replay(&mut [&mut got]).expect("mapped replay");
+        let report = open_file(&bytes)
+            .replay(&mut [&mut got])
+            .expect("file replay");
         assert!(report.is_clean());
         assert_eq!(got, flat);
         let mut par = Vec::new();
-        let mut mapped = StoreReader::open(&path).expect("open mapped");
-        mapped.par_replay(&mut [&mut par]).expect("mapped par");
+        open_file(&bytes)
+            .par_replay(&mut [&mut par])
+            .expect("file par");
         assert_eq!(par, flat);
         let mut seek = Vec::new();
-        let mut mapped = StoreReader::open(&path).expect("open mapped");
         let mid = (flat.len() / 2) as u64;
-        mapped
+        open_file(&bytes)
             .replay_from_seq(mid, &mut [&mut seek])
-            .expect("mapped seek");
+            .expect("file seek");
         assert_eq!(&seek[..], &flat[mid as usize..]);
-        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A small store of `Call` events cut into 64-byte blocks.
+fn call_store() -> (Vec<u8>, Vec<(u64, TraceEvent)>) {
+    let events: Vec<_> = (0..100u64)
+        .map(|i| (i, TraceEvent::Call { proc: ProcId(1) }))
+        .collect();
+    let mut bytes = Vec::new();
+    let mut writer = StoreWriter::with_block_budget(&mut bytes, 64);
+    writer.on_batch(&events);
+    writer.finish().expect("finish");
+    (bytes, events)
+}
+
+/// Overwrites the footer's index checksum to match the index bytes, so
+/// a crafted index passes verification.
+fn restamp_index_checksum(bytes: &mut [u8], index_offset: usize) {
+    let footer_at = bytes.len() - FOOTER_LEN;
+    let checksum = fnv1a64(&bytes[index_offset..footer_at]);
+    bytes[footer_at + 32..footer_at + 40].copy_from_slice(&checksum.to_le_bytes());
+}
+
+#[test]
+fn over_long_last_block_is_skipped_alike_from_file_and_from_bytes() {
+    let (mut bytes, events) = call_store();
+    let index = open(bytes.clone()).index().to_vec();
+    assert!(index.len() >= 3, "the budget must force several blocks");
+    let victim = index.len() - 1;
+    let last = index[victim];
+    // Declare a payload running past EOF in both the frame and the
+    // index entry, keeping the index checksum valid.
+    let past_eof = (bytes.len() as u32).to_le_bytes();
+    let frame_at = last.offset as usize;
+    bytes[frame_at..frame_at + 4].copy_from_slice(&past_eof);
+    let index_offset = (last.offset + FRAME_LEN as u64 + u64::from(last.payload_len)) as usize;
+    let entry_at = index_offset + victim * INDEX_ENTRY_LEN;
+    bytes[entry_at + 36..entry_at + 40].copy_from_slice(&past_eof);
+    restamp_index_checksum(&mut bytes, index_offset);
+
+    let mut from_file = Vec::new();
+    let file_report = open_file(&bytes)
+        .replay(&mut [&mut from_file])
+        .expect("replay");
+    let mut in_memory = Vec::new();
+    let mut reader = open(bytes);
+    assert!(!reader.info().recovered_index, "the crafted index verifies");
+    let report = reader.replay(&mut [&mut in_memory]).expect("replay");
+    assert_eq!(file_report, report);
+    assert_eq!(from_file, in_memory);
+    assert_eq!(report.skipped.len(), 1);
+    assert_eq!(report.skipped[0].block, victim as u64);
+    assert_eq!(in_memory, events[..last.first_seq as usize]);
+}
+
+#[test]
+fn footer_whose_index_range_wraps_u64_falls_back_to_recovery() {
+    let (mut bytes, events) = call_store();
+    let footer_at = bytes.len() - FOOTER_LEN;
+    // `index_offset + block_count * 40` wraps around u64 to exactly the
+    // footer's position; the footer carries no checksum of its own.
+    let block_count = 1u64 << 58;
+    let index_offset = (footer_at as u64).wrapping_sub(block_count * INDEX_ENTRY_LEN as u64);
+    bytes[footer_at..footer_at + 8].copy_from_slice(&index_offset.to_le_bytes());
+    bytes[footer_at + 8..footer_at + 16].copy_from_slice(&block_count.to_le_bytes());
+    for mut reader in [open_file(&bytes), open(bytes.clone())] {
+        assert!(reader.info().recovered_index);
+        assert_eq!(reader.info().events, events.len() as u64);
+        let mut got = Vec::new();
+        let report = reader.replay(&mut [&mut got]).expect("replay");
+        assert!(report.is_clean());
+        assert_eq!(got, events);
     }
 }
 
@@ -488,8 +569,8 @@ fn short_header_files_are_typed_errors() {
     // cut inside it) must produce a typed Corrupt error, never a panic.
     let (bytes, _) = pack(512, 1);
     for len in 0..spm_store::format::HEADER_LEN {
-        let err = StoreReader::new(Cursor::new(bytes[..len].to_vec()))
-            .expect_err("short header must not open");
+        let err =
+            StoreReader::from_bytes(bytes[..len].to_vec()).expect_err("short header must not open");
         assert!(
             matches!(err, spm_store::StoreError::Corrupt { .. }),
             "len {len}: {err}"
@@ -501,7 +582,7 @@ fn short_header_files_are_typed_errors() {
 fn unknown_compression_byte_is_rejected() {
     let (mut bytes, _) = pack(512, 1);
     bytes[spm_store::format::COMPRESSION_OFFSET] = 0x7e;
-    let err = StoreReader::new(Cursor::new(bytes)).expect_err("unknown codec");
+    let err = StoreReader::from_bytes(bytes).expect_err("unknown codec");
     assert!(matches!(err, spm_store::StoreError::Corrupt { .. }));
     assert!(err.to_string().contains("126"), "{err}");
 }

@@ -21,7 +21,6 @@ use spm::sim::{run, FaultKind, FaultObserver, TraceCorruptor, TraceEvent};
 use spm::workloads::suite;
 use spm_store::format::{BlockMeta, FRAME_LEN, HEADER_LEN};
 use spm_store::{StoreReader, StoreWriter};
-use std::io::Cursor;
 
 /// Seeds tried per (workload, fault) cell. Small, but combined with 16
 /// workloads and 3+2 fault kinds this covers hundreds of distinct
@@ -139,7 +138,7 @@ fn packed_suite() -> Vec<Packed> {
             let mut writer = StoreWriter::with_block_budget(&mut store, BLOCK_BUDGET);
             run(&w.program, &w.train_input, &mut [&mut writer, &mut live]).expect("engine runs");
             writer.finish().expect("in-memory store");
-            let index = StoreReader::new(Cursor::new(&store))
+            let index = StoreReader::from_bytes(store.clone())
                 .expect("intact store opens")
                 .index()
                 .to_vec();
@@ -156,7 +155,7 @@ fn packed_suite() -> Vec<Packed> {
 
 /// Opens store bytes and replays everything they yield.
 fn replay_store(bytes: &[u8]) -> (spm_store::StoreReplayReport, Vec<(u64, TraceEvent)>) {
-    let mut reader = StoreReader::new(Cursor::new(bytes)).expect("store header intact");
+    let mut reader = StoreReader::from_bytes(bytes.to_vec()).expect("store header intact");
     let mut got = Vec::new();
     let report = reader
         .replay(&mut [&mut got])

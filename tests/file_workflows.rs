@@ -7,11 +7,10 @@ use spm::core::{partition, select_markers, CallLoopProfiler, MarkerRuntime, Sele
 use spm::sim::{run, TraceObserver};
 use spm::workloads::build;
 use spm_store::{StoreReader, StoreWriter};
-use std::io::Cursor;
 
 /// Replays a whole trace store into `observer`.
 fn replay(store: &[u8], observer: &mut dyn TraceObserver) {
-    let report = StoreReader::new(Cursor::new(store))
+    let report = StoreReader::from_bytes(store.to_vec())
         .unwrap()
         .replay(&mut [observer])
         .unwrap();

@@ -7,7 +7,6 @@ use spm::core::{partition_with_fallback, select_markers, CallLoopProfiler, Selec
 use spm::ir::{parse_workload, write_workload, Input, Program, ProgramBuilder, Trip};
 use spm::sim::{run, TraceCorruptor, TraceEvent, TraceObserver};
 use spm_store::{StoreReader, StoreWriter};
-use std::io::Cursor;
 
 /// A generatable statement tree (kept separate from the IR so proptest
 /// can shrink it).
@@ -231,7 +230,7 @@ proptest! {
         let live = profiler.into_graph().unwrap();
 
         let mut replayed_profiler = CallLoopProfiler::new();
-        let report = StoreReader::new(Cursor::new(&store))
+        let report = StoreReader::from_bytes(store)
             .unwrap()
             .replay(&mut [&mut replayed_profiler])
             .unwrap();
@@ -275,7 +274,7 @@ proptest! {
         // error, or a replay that skips (and reports) damaged blocks.
         let c = TraceCorruptor::new(corrupt_seed);
         for damaged in [c.truncate(&store, 0), c.bit_flip(&store, 0, flips)] {
-            let replayed = StoreReader::new(Cursor::new(&damaged))
+            let replayed = StoreReader::from_bytes(damaged)
                 .and_then(|mut reader| reader.replay(&mut []));
             match replayed {
                 Ok(report) => {
