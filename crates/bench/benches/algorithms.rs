@@ -98,9 +98,15 @@ fn bench_kmeans(c: &mut Criterion) {
         })
         .collect();
     let weights = vec![1.0; points.len()];
+    // 2,000 copies of 8 distinct vectors with k = 12: more clusters
+    // than distinct points, so the fit reaches the 2-cycle stop.
+    let copies: Vec<Vec<f64>> = (0..2_000).map(|i| points[i % 8].clone()).collect();
     let mut group = c.benchmark_group("kmeans");
     group.bench_function("k10_2000x15", |b| {
         b.iter(|| kmeans(&points, &weights, 10, 1).unwrap().distortion)
+    });
+    group.bench_function("k12_8distinct_2000x15", |b| {
+        b.iter(|| kmeans(&copies, &weights, 12, 1).unwrap().distortion)
     });
     group.finish();
 }

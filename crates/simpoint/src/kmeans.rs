@@ -113,6 +113,12 @@ pub(crate) fn row_width(points: &[Vec<f64>]) -> Result<usize, KmeansError> {
 /// pass uniform weights for classic SimPoint 2.0). Runs until the
 /// assignment is stable or 100 iterations. Deterministic in `seed`.
 ///
+/// The result is bit-identical to plain Lloyd iteration: the
+/// assignment step skips a point only when Hamerly's bounds prove the
+/// full scan would keep its cluster, and a fit that enters an exact
+/// 2-cycle stops early in the state the iteration cap would leave,
+/// reporting 100 iterations and no convergence.
+///
 /// Degenerate inputs are tolerated rather than fatal: `k` is clamped to
 /// the number of points, any dimension containing a non-finite
 /// coordinate in *any* point is zeroed across all points (it carries no
@@ -143,35 +149,51 @@ pub fn kmeans(
     }
     let d = row_width(points)?;
     let k = k.min(points.len());
+    let (clustering, fit) = match sanitized(points, weights, d) {
+        Some((pts, ws)) => kmeans_unchecked(&pts, &ws, k, seed),
+        None => kmeans_unchecked(points, weights, k, seed),
+    };
+    Ok(report(clustering, fit, points.len()))
+}
+
+/// Copies of `points` with every dimension that holds a non-finite
+/// coordinate zeroed, and of `weights` with non-finite or negative
+/// weights zeroed; `None` when the inputs need neither.
+fn sanitized(points: &[Vec<f64>], weights: &[f64], d: usize) -> Option<(Vec<Vec<f64>>, Vec<f64>)> {
     let bad_dim: Vec<bool> = (0..d)
         .map(|j| points.iter().any(|p| !p[j].is_finite()))
         .collect();
     let bad_weight = weights.iter().any(|w| !w.is_finite() || *w < 0.0);
-    if bad_weight || bad_dim.iter().any(|&b| b) {
-        let pts: Vec<Vec<f64>> = points
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .enumerate()
-                    .map(|(j, &x)| if bad_dim[j] { 0.0 } else { x })
-                    .collect()
-            })
-            .collect();
-        let ws: Vec<f64> = weights
-            .iter()
-            .map(|&w| if w.is_finite() && w >= 0.0 { w } else { 0.0 })
-            .collect();
-        Ok(report(kmeans_unchecked(&pts, &ws, k, seed), points.len()))
-    } else {
-        Ok(report(
-            kmeans_unchecked(points, weights, k, seed),
-            points.len(),
-        ))
+    if !bad_weight && !bad_dim.iter().any(|&b| b) {
+        return None;
     }
+    let pts = points
+        .iter()
+        .map(|p| {
+            p.iter()
+                .enumerate()
+                .map(|(j, &x)| if bad_dim[j] { 0.0 } else { x })
+                .collect()
+        })
+        .collect();
+    let ws = weights
+        .iter()
+        .map(|&w| if w.is_finite() && w >= 0.0 { w } else { 0.0 })
+        .collect();
+    Some((pts, ws))
+}
+
+/// What one fit did beyond its [`Clustering`], for the trace.
+#[derive(Debug, Clone, Copy, Default)]
+struct FitStats {
+    /// Exact point–centroid distances computed in assignment rounds.
+    dist_evals: u64,
+    /// Whether the fit stopped on a proven 2-cycle.
+    cycled: bool,
 }
 
 /// Emits the per-run convergence counter when a recorder is installed.
-fn report(clustering: Clustering, n: usize) -> Clustering {
+fn report(clustering: Clustering, fit: FitStats, n: usize) -> Clustering {
     if spm_obs::enabled() {
         spm_obs::counter_with(
             "simpoint/kmeans_iters",
@@ -180,21 +202,60 @@ fn report(clustering: Clustering, n: usize) -> Clustering {
                 ("k", (clustering.k() as u64).into()),
                 ("n", (n as u64).into()),
                 ("converged", clustering.converged.into()),
+                ("dist_evals", fit.dist_evals.into()),
+                ("cycled", fit.cycled.into()),
             ],
         );
     }
     clustering
 }
 
-/// The algorithm proper; inputs already validated and sanitized.
-fn kmeans_unchecked(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -> Clustering {
-    let n = points.len();
-    let d = points[0].len();
-    let mut rng = SmallRng::seed_from_u64(seed);
+/// The iteration cap of a fit.
+const MAX_ROUNDS: usize = 100;
 
-    // k-means++ seeding (weighted by point weight * squared distance).
+/// Absolute slack of every pruning bound. It covers the absolute error
+/// `sq_dist` makes where squares underflow, so two points closer than
+/// this are never told apart by a bound.
+const BOUND_ABS: f64 = 1e-150;
+
+/// Squared distances are capped here before they become lower bounds,
+/// so a sum that overflowed to `inf` claims no more than it shows, and
+/// a point passing the prune test has a squared distance to its own
+/// centroid that cannot overflow.
+const BOUND_CAP2: f64 = 1e300;
+
+/// An upper bound on the true distance whose square `sq_dist` computed
+/// as `s`; NaN (a centroid with a NaN coordinate) bounds nothing.
+fn dist_hi(s: f64, rel: f64) -> f64 {
+    if s.is_nan() {
+        return f64::INFINITY;
+    }
+    s.sqrt() * (1.0 + rel) + BOUND_ABS
+}
+
+/// A lower bound on the true distance whose square `sq_dist` computed
+/// as `s`; non-positive when there is none.
+fn dist_lo(s: f64, rel: f64) -> f64 {
+    if s.is_nan() {
+        return 0.0;
+    }
+    s.min(BOUND_CAP2).sqrt() * (1.0 - rel) - BOUND_ABS
+}
+
+/// Bit equality of two centroid sets (`==` would equate `0.0` with
+/// `-0.0` and tell NaN from itself).
+fn same_bits(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
+    a.iter()
+        .flatten()
+        .map(|x| x.to_bits())
+        .eq(b.iter().flatten().map(|x| x.to_bits()))
+}
+
+/// k-means++ seeding: `k` centroids, each a copy of a point sampled by
+/// weight times squared distance to the nearest centroid so far.
+fn plus_plus(points: &[Vec<f64>], weights: &[f64], k: usize, rng: &mut SmallRng) -> Vec<Vec<f64>> {
     let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-    let first = weighted_sample(&mut rng, weights);
+    let first = weighted_sample(rng, weights);
     centroids.push(points[first].clone());
     let mut d2: Vec<f64> = points.iter().map(|p| sq_dist(p, &centroids[0])).collect();
     while centroids.len() < k {
@@ -202,9 +263,9 @@ fn kmeans_unchecked(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -
         let total: f64 = scores.iter().sum();
         let next = if total <= 0.0 {
             // All points coincide with a centroid; take any.
-            weighted_sample(&mut rng, weights)
+            weighted_sample(rng, weights)
         } else {
-            weighted_sample(&mut rng, &scores)
+            weighted_sample(rng, &scores)
         };
         centroids.push(points[next].clone());
         let newest = centroids.len() - 1;
@@ -212,7 +273,263 @@ fn kmeans_unchecked(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -
             d2[i] = d2[i].min(sq_dist(p, &centroids[newest]));
         }
     }
+    centroids
+}
 
+/// The algorithm proper; inputs already validated and sanitized.
+///
+/// Lloyd iteration with two savings that leave every output bit as
+/// plain Lloyd would:
+///
+/// * **Hamerly bounds.** `upper[i]` bounds the distance from point `i`
+///   to its centroid from above, `lower[i]` its distance to every other
+///   centroid from below, and `half_sep[c]` half the distance from
+///   centroid `c` to its nearest neighbour from below. All three are
+///   rounded outward by `rel` (which covers `sq_dist`'s relative error
+///   for width `d`) and [`BOUND_ABS`], and a NaN or overflowed distance
+///   turns into a bound that proves nothing (no bound is ever NaN). A
+///   point is skipped only when its upper bound, inflated once more, is
+///   strictly below the larger of the other two: then every other
+///   centroid's computed distance is strictly larger than its own
+///   centroid's, so the scan with its strict `<` would keep it.
+///   Otherwise the point gets that very scan, after one exact distance
+///   to its own centroid has failed to tighten the bound enough.
+/// * **2-cycle stop.** A round is a pure function of `(centroids,
+///   assignments)` at its top. When that state matches the one two
+///   rounds back bit for bit, the fit alternates between two states
+///   that do not converge until the cap, so it stops at whichever of
+///   the two the cap would leave.
+fn kmeans_unchecked(
+    points: &[Vec<f64>],
+    weights: &[f64],
+    k: usize,
+    seed: u64,
+) -> (Clustering, FitStats) {
+    let n = points.len();
+    let d = points[0].len();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut centroids = plus_plus(points, weights, k, &mut rng);
+
+    let rel = 4.0 * (d as f64 + 8.0) * f64::EPSILON;
+    let mut upper = vec![f64::INFINITY; n];
+    let mut lower = vec![0.0; n];
+    let mut half_sep = vec![0.0; k];
+    let mut previous = centroids.clone();
+    // The state at the top of rounds t-2 and t-1, indexed by t % 2.
+    let mut history: [(Vec<Vec<f64>>, Vec<usize>); 2] = Default::default();
+    let mut fit = FitStats::default();
+
+    let mut assignments = vec![0usize; n];
+    let mut iterations = 0u64;
+    let mut converged = false;
+    for round in 0..MAX_ROUNDS {
+        if round >= 2 {
+            let (then_c, then_a) = &history[round % 2];
+            if *then_a == assignments && same_bits(then_c, &centroids) {
+                // From here the states alternate, and the cap leaves the
+                // one at the top of round `round + (100 - round) % 2`:
+                // this one, or the next, which equals the previous one.
+                if (MAX_ROUNDS - round) % 2 == 1 {
+                    (centroids, assignments) = std::mem::take(&mut history[(round + 1) % 2]);
+                }
+                fit.cycled = true;
+                iterations = MAX_ROUNDS as u64;
+                break;
+            }
+        }
+        let (then_c, then_a) = &mut history[round % 2];
+        then_c.clone_from(&centroids);
+        then_a.clone_from(&assignments);
+        iterations = round as u64 + 1;
+
+        if round > 0 {
+            half_sep.fill(f64::INFINITY);
+            for a in 0..k {
+                for b in a + 1..k {
+                    let s = 0.5 * dist_lo(sq_dist(&centroids[a], &centroids[b]), rel);
+                    half_sep[a] = half_sep[a].min(s);
+                    half_sep[b] = half_sep[b].min(s);
+                }
+            }
+        }
+        // Assignment step.
+        let mut changed = false;
+        for (i, p) in points.iter().enumerate() {
+            let own = assignments[i];
+            let gap = half_sep[own].max(lower[i]);
+            if upper[i] * (1.0 + rel) + BOUND_ABS < gap {
+                continue;
+            }
+            if upper[i].is_finite() {
+                // Tighten to the exact distance before paying for a scan.
+                fit.dist_evals += 1;
+                upper[i] = dist_hi(sq_dist(p, &centroids[own]), rel);
+                if upper[i] * (1.0 + rel) + BOUND_ABS < gap {
+                    continue;
+                }
+            }
+            fit.dist_evals += k as u64;
+            let mut best = 0;
+            let mut best_d = f64::INFINITY;
+            let mut second_d = f64::INFINITY;
+            for (c, centroid) in centroids.iter().enumerate() {
+                let dist = sq_dist(p, centroid);
+                if dist < best_d {
+                    second_d = best_d;
+                    best_d = dist;
+                    best = c;
+                } else if dist < second_d {
+                    second_d = dist;
+                }
+            }
+            upper[i] = dist_hi(best_d, rel);
+            lower[i] = dist_lo(second_d, rel);
+            if assignments[i] != best {
+                assignments[i] = best;
+                changed = true;
+            }
+        }
+        if !changed && round > 0 {
+            converged = true;
+            break;
+        }
+        previous.clone_from(&centroids);
+        // Update step (weighted means).
+        let mut sums = vec![vec![0.0; d]; centroids.len()];
+        let mut wsum = vec![0.0; centroids.len()];
+        for (i, p) in points.iter().enumerate() {
+            let c = assignments[i];
+            wsum[c] += weights[i];
+            for (s, x) in sums[c].iter_mut().zip(p) {
+                *s += weights[i] * x;
+            }
+        }
+        for (c, centroid) in centroids.iter_mut().enumerate() {
+            if wsum[c] > 0.0 {
+                for (dst, s) in centroid.iter_mut().zip(&sums[c]) {
+                    *dst = s / wsum[c];
+                }
+            }
+        }
+        // Reseed any empty cluster at the point currently farthest from
+        // its assigned centroid.
+        for c in 0..centroids.len() {
+            if wsum[c] > 0.0 {
+                continue;
+            }
+            let far = (0..n)
+                .max_by(|&a, &b| {
+                    let da = sq_dist(&points[a], &centroids[assignments[a]]);
+                    let db = sq_dist(&points[b], &centroids[assignments[b]]);
+                    da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .unwrap_or(0);
+            centroids[c] = points[far].clone();
+        }
+        // Widen the bounds by how far each centroid moved: a point's own
+        // centroid by its own move, every other by the largest move of
+        // the rest.
+        let moved: Vec<f64> = previous
+            .iter()
+            .zip(&centroids)
+            .map(|(old, new)| dist_hi(sq_dist(old, new), rel))
+            .collect();
+        let (mut top, mut top_c, mut runner_up) = (0.0, usize::MAX, 0.0);
+        for (c, &m) in moved.iter().enumerate() {
+            if m > top {
+                (runner_up, top, top_c) = (top, m, c);
+            } else if m > runner_up {
+                runner_up = m;
+            }
+        }
+        for (i, &own) in assignments.iter().enumerate() {
+            upper[i] = (upper[i] + moved[own]) * (1.0 + rel);
+            let others = if own == top_c { runner_up } else { top };
+            lower[i] = (lower[i] - others) * (1.0 - rel);
+        }
+    }
+
+    let distortion = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| weights[i] * sq_dist(p, &centroids[assignments[i]]))
+        .sum();
+    let clustering = Clustering {
+        assignments,
+        centroids,
+        distortion,
+        iterations,
+        converged,
+    };
+    (clustering, fit)
+}
+
+/// Samples an index proportionally to the given non-negative scores.
+fn weighted_sample(rng: &mut SmallRng, scores: &[f64]) -> usize {
+    let total: f64 = scores.iter().sum();
+    // NaN too: a squared distance that overflowed to `inf`, times a
+    // zero weight, leaves no distribution to sample from.
+    if total.is_nan() || total <= 0.0 {
+        return 0;
+    }
+    let mut target = rng.gen_range(0.0..total);
+    for (i, &s) in scores.iter().enumerate() {
+        if s <= 0.0 {
+            continue;
+        }
+        if target < s {
+            return i;
+        }
+        target -= s;
+    }
+    scores.len() - 1
+}
+
+/// Bayesian Information Criterion of a clustering, per SimPoint (the
+/// x-means formulation): a spherical-Gaussian log-likelihood minus a
+/// `(p / 2) ln n` complexity penalty with `p = k (d + 1)` free
+/// parameters. Larger is better.
+///
+/// `weights` scale each point's contribution (uniform weights recover
+/// the classic formula); they are normalized so the effective sample
+/// size stays `n`.
+pub fn bic(clustering: &Clustering, points: &[Vec<f64>], weights: &[f64]) -> f64 {
+    let n = points.len() as f64;
+    let d = points.first().map_or(0, Vec::len) as f64;
+    let k = clustering.k() as f64;
+    if n <= k || d == 0.0 {
+        return f64::NEG_INFINITY;
+    }
+    let total_w: f64 = weights.iter().sum();
+    if total_w <= 0.0 {
+        return f64::NEG_INFINITY;
+    }
+    // Effective (weight-scaled) cluster sizes summing to n.
+    let mut n_i = vec![0.0; clustering.k()];
+    for (i, &c) in clustering.assignments.iter().enumerate() {
+        n_i[c] += weights[i] / total_w * n;
+    }
+    // Variance estimate from the (weight-scaled) distortion.
+    let sigma2 = (clustering.distortion / total_w * n / (d * (n - k))).max(1e-12);
+    let mut log_l = -(n * d / 2.0) * (2.0 * std::f64::consts::PI * sigma2).ln() - d * (n - k) / 2.0;
+    for &ni in &n_i {
+        if ni > 0.0 {
+            log_l += ni * (ni / n).ln();
+        }
+    }
+    let p = k * (d + 1.0);
+    log_l - p / 2.0 * n.ln()
+}
+
+/// Plain Lloyd iteration as it ran before the bounds and the 2-cycle
+/// stop, kept verbatim as the oracle [`kmeans_unchecked`] must match
+/// bit for bit.
+#[cfg(test)]
+fn lloyd_reference(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -> Clustering {
+    let n = points.len();
+    let d = points[0].len();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut centroids = plus_plus(points, weights, k, &mut rng);
     let mut assignments = vec![0usize; n];
     let mut iterations = 0u64;
     let mut converged = false;
@@ -285,61 +602,6 @@ fn kmeans_unchecked(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -
         iterations,
         converged,
     }
-}
-
-/// Samples an index proportionally to the given non-negative scores.
-fn weighted_sample(rng: &mut SmallRng, scores: &[f64]) -> usize {
-    let total: f64 = scores.iter().sum();
-    if total <= 0.0 {
-        return 0;
-    }
-    let mut target = rng.gen_range(0.0..total);
-    for (i, &s) in scores.iter().enumerate() {
-        if s <= 0.0 {
-            continue;
-        }
-        if target < s {
-            return i;
-        }
-        target -= s;
-    }
-    scores.len() - 1
-}
-
-/// Bayesian Information Criterion of a clustering, per SimPoint (the
-/// x-means formulation): a spherical-Gaussian log-likelihood minus a
-/// `(p / 2) ln n` complexity penalty with `p = k (d + 1)` free
-/// parameters. Larger is better.
-///
-/// `weights` scale each point's contribution (uniform weights recover
-/// the classic formula); they are normalized so the effective sample
-/// size stays `n`.
-pub fn bic(clustering: &Clustering, points: &[Vec<f64>], weights: &[f64]) -> f64 {
-    let n = points.len() as f64;
-    let d = points.first().map_or(0, Vec::len) as f64;
-    let k = clustering.k() as f64;
-    if n <= k || d == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    let total_w: f64 = weights.iter().sum();
-    if total_w <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    // Effective (weight-scaled) cluster sizes summing to n.
-    let mut n_i = vec![0.0; clustering.k()];
-    for (i, &c) in clustering.assignments.iter().enumerate() {
-        n_i[c] += weights[i] / total_w * n;
-    }
-    // Variance estimate from the (weight-scaled) distortion.
-    let sigma2 = (clustering.distortion / total_w * n / (d * (n - k))).max(1e-12);
-    let mut log_l = -(n * d / 2.0) * (2.0 * std::f64::consts::PI * sigma2).ln() - d * (n - k) / 2.0;
-    for &ni in &n_i {
-        if ni > 0.0 {
-            log_l += ni * (ni / n).ln();
-        }
-    }
-    let p = k * (d + 1.0);
-    log_l - p / 2.0 * n.ln()
 }
 
 #[cfg(test)]
@@ -508,6 +770,92 @@ mod tests {
         assert!((cw.iter().sum::<f64>() - total).abs() < 1e-9);
     }
 
+    /// `kmeans` with the bound-free loop: the same validation-free
+    /// clamping and sanitizing, then [`lloyd_reference`].
+    fn reference(points: &[Vec<f64>], weights: &[f64], k: usize, seed: u64) -> Clustering {
+        let k = k.min(points.len());
+        match sanitized(points, weights, points[0].len()) {
+            Some((pts, ws)) => lloyd_reference(&pts, &ws, k, seed),
+            None => lloyd_reference(points, weights, k, seed),
+        }
+    }
+
+    /// Every output of a fit, floats as bits.
+    fn bits(c: &Clustering) -> (Vec<usize>, Vec<u64>, u64, u64, bool) {
+        (
+            c.assignments.clone(),
+            c.centroids.iter().flatten().map(|x| x.to_bits()).collect(),
+            c.distortion.to_bits(),
+            c.iterations,
+            c.converged,
+        )
+    }
+
+    /// `n` points drawn with repetition from `distinct` random vectors
+    /// of width `d`, at one of four scales: generic, a small integer
+    /// grid (exact distance ties), squares that overflow to `inf`, and
+    /// squares that underflow. Weights include zeros; with `nan`, one
+    /// coordinate is NaN.
+    fn case(
+        seed: u64,
+        n: usize,
+        d: usize,
+        distinct: usize,
+        scale: u8,
+        nan: bool,
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pool: Vec<Vec<f64>> = (0..distinct)
+            .map(|_| {
+                (0..d)
+                    .map(|_| match scale {
+                        0 => rng.gen_range(-1.0..1.0),
+                        1 => f64::from(rng.gen_range(-2i32..3)),
+                        2 => rng.gen_range(-1.0..1.0) * 1e155,
+                        _ => rng.gen_range(-1.0..1.0) * 1e-160,
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut points: Vec<Vec<f64>> = (0..n)
+            .map(|_| pool[rng.gen_range(0..distinct)].clone())
+            .collect();
+        if nan {
+            points[rng.gen_range(0..n)][rng.gen_range(0..d)] = f64::NAN;
+        }
+        let weights = (0..n)
+            .map(|_| [0.0, 0.5, 1.0, 3.0][rng.gen_range(0..4usize)])
+            .collect();
+        (points, weights)
+    }
+
+    #[test]
+    fn two_cycle_stops_in_the_capped_state() {
+        // 3 distinct vectors, 10 copies each, k = 8: every empty
+        // cluster is reseeded at the same farthest point, round after
+        // round.
+        let pool = [[0.1, 0.2], [0.7, 0.3], [0.4, 0.9]];
+        let points: Vec<Vec<f64>> = (0..30).map(|i| pool[i % 3].to_vec()).collect();
+        let weights = vec![1.0; points.len()];
+        let (fast, fit) = kmeans_unchecked(&points, &weights, 8, 5);
+        assert!(fit.cycled);
+        assert_eq!(fast.iterations, 100);
+        assert!(!fast.converged);
+        assert_eq!(bits(&fast), bits(&reference(&points, &weights, 8, 5)));
+        assert_eq!(fast, kmeans(&points, &weights, 8, 5).unwrap());
+    }
+
+    #[test]
+    fn bounds_prune_well_separated_blobs() {
+        let points = blobs(200, &[(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], 1.0, 9);
+        let weights = vec![1.0; points.len()];
+        let (fast, fit) = kmeans_unchecked(&points, &weights, 3, 2);
+        assert!(!fit.cycled);
+        let full_scans = fast.iterations * (points.len() * 3) as u64;
+        assert!(fit.dist_evals < full_scans, "{fit:?}");
+        assert_eq!(bits(&fast), bits(&reference(&points, &weights, 3, 2)));
+    }
+
     proptest! {
         #[test]
         fn distortion_non_increasing_in_k(
@@ -533,6 +881,22 @@ mod tests {
                     prop_assert!(assigned <= sq_dist(p, centroid) + 1e-9);
                 }
             }
+        }
+
+        #[test]
+        fn kmeans_matches_plain_lloyd_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            n in 1usize..80,
+            d in 1usize..5,
+            distinct in 1usize..12,
+            k in 1usize..16,
+            scale in 0u8..4,
+            nan in 0u8..4,
+        ) {
+            let (points, weights) = case(seed, n, d, distinct, scale, nan == 0);
+            let fast = kmeans(&points, &weights, k, seed).unwrap();
+            let slow = reference(&points, &weights, k, seed);
+            prop_assert_eq!(bits(&fast), bits(&slow));
         }
     }
 }
