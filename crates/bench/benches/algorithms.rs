@@ -1,16 +1,18 @@
 //! Microbenchmarks of the core algorithms, including the paper's claim
 //! that marker selection "runs in seconds on every call-loop graph":
-//! graph construction from a trace, the two selection passes, Sequitur,
-//! reuse-distance tracking, k-means, and cache simulation.
+//! graph construction from a trace, marker detection, the two selection
+//! passes, Sequitur, reuse-distance tracking, k-means, and cache
+//! simulation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use spm_bench::{ILOWER, LIMIT_MAX, LIMIT_MIN};
 use spm_cache::{Cache, CacheConfig};
 use spm_core::predict::{MarkovPredictor, PhasePredictor};
-use spm_core::{select_markers, CallLoopProfiler, SelectConfig};
+use spm_core::{select_markers, CallLoopProfiler, MarkerRuntime, SelectConfig};
 use spm_reuse::{detect_boundaries, sequitur, ReuseTracker};
-use spm_sim::run;
+use spm_sim::{run, TraceEvent, TraceObserver};
 use spm_simpoint::kmeans;
 use spm_store::{StoreReader, StoreWriter};
 use spm_workloads::build;
@@ -25,6 +27,28 @@ fn bench_callloop_profile(c: &mut Criterion) {
             let mut profiler = CallLoopProfiler::new();
             run(&w.program, &w.train_input, &mut [&mut profiler]).unwrap();
             profiler.into_graph().unwrap().edges().len()
+        })
+    });
+    // Marker detection alone: plain and limit markers selected on
+    // `train` watch a recorded `ref` trace, delivered in engine-sized
+    // batches.
+    let mut profiler = CallLoopProfiler::new();
+    run(&w.program, &w.train_input, &mut [&mut profiler]).unwrap();
+    let graph = profiler.into_graph().unwrap();
+    let plain = select_markers(&graph, &SelectConfig::new(ILOWER)).markers;
+    let limit = select_markers(&graph, &SelectConfig::with_limit(LIMIT_MIN, LIMIT_MAX)).markers;
+    let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
+    run(&w.program, &w.ref_input, &mut [&mut tape]).unwrap();
+    group.throughput(Throughput::Elements(tape.len() as u64));
+    group.bench_function("mark_gzip_ref", |b| {
+        b.iter(|| {
+            let mut by_plain = MarkerRuntime::new(&plain);
+            let mut by_limit = MarkerRuntime::new(&limit);
+            for batch in tape.chunks(1024) {
+                by_plain.on_batch(batch);
+                by_limit.on_batch(batch);
+            }
+            by_plain.into_firings().len() + by_limit.into_firings().len()
         })
     });
     group.finish();

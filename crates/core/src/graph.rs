@@ -15,8 +15,8 @@
 //! annotations of the paper's Figure 2.
 
 use spm_ir::{LoopId, ProcId, Program, SourceId};
+use spm_sim::FastMap;
 use spm_stats::Running;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a node of one [`CallLoopGraph`].
@@ -168,8 +168,8 @@ impl Edge {
 pub struct CallLoopGraph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
-    node_index: HashMap<NodeKey, NodeId>,
-    edge_index: HashMap<(NodeId, NodeId), EdgeId>,
+    node_index: FastMap<NodeKey, NodeId>,
+    edge_index: FastMap<(NodeId, NodeId), EdgeId>,
     out_edges: Vec<Vec<EdgeId>>,
     in_edges: Vec<Vec<EdgeId>>,
 }

@@ -3,8 +3,7 @@
 
 use crate::graph::NodeKey;
 use spm_ir::LoopId;
-use spm_sim::{TraceEvent, TraceObserver};
-use std::collections::HashMap;
+use spm_sim::{FastMap, TraceEvent, TraceObserver};
 use std::fmt;
 
 /// One software phase marker: a point in the binary that, when executed,
@@ -45,8 +44,8 @@ impl fmt::Display for Marker {
 #[derive(Debug, Clone, Default)]
 pub struct MarkerSet {
     markers: Vec<Marker>,
-    edge_index: HashMap<(NodeKey, NodeKey), usize>,
-    group_index: HashMap<LoopId, (u64, usize)>,
+    edge_index: FastMap<(NodeKey, NodeKey), usize>,
+    group_index: FastMap<LoopId, (u64, usize)>,
 }
 
 impl MarkerSet {
@@ -752,5 +751,169 @@ mod tests {
             .to_string(),
             "L3x8"
         );
+    }
+
+    use proptest::prelude::*;
+    use spm_ir::BlockId;
+
+    /// Ids the generated streams and marker sets draw from, including
+    /// the top of the `u32` range and strided ids.
+    const IDS: [u32; 7] = [0, 1, 2, 7, 1 << 20, u32::MAX - 1, u32::MAX];
+
+    /// Oracle: the runtime's shadow-stack walk, with every marker found
+    /// by a linear scan of `markers()` instead of the set's indexes.
+    fn oracle_firings(set: &MarkerSet, events: &[(u64, TraceEvent)]) -> Vec<MarkerFiring> {
+        let edge = |from: NodeKey, to: NodeKey| {
+            set.markers()
+                .iter()
+                .position(|m| *m == Marker::Edge { from, to })
+        };
+        // A later `LoopGroup` for the same loop replaces the earlier one.
+        let group = |loop_id: LoopId| {
+            let mut markers = set.markers().iter().enumerate().rev();
+            markers.find_map(|(id, m)| match *m {
+                Marker::LoopGroup { loop_id: l, group } if l == loop_id => Some((group, id)),
+                _ => None,
+            })
+        };
+        // Frames: (context key while inside, iterations for loops).
+        let mut stack: Vec<(NodeKey, Option<u64>)> = Vec::new();
+        let mut firings = Vec::new();
+        let mut fire = |icount, marker: Option<usize>| {
+            if let Some(marker) = marker {
+                firings.push(MarkerFiring { icount, marker });
+            }
+        };
+        for &(icount, event) in events {
+            let ctx = stack.last().map_or(NodeKey::Root, |f| f.0);
+            match event {
+                TraceEvent::Call { proc } => {
+                    fire(icount, edge(ctx, NodeKey::ProcHead(proc)));
+                    fire(
+                        icount,
+                        edge(NodeKey::ProcHead(proc), NodeKey::ProcBody(proc)),
+                    );
+                    stack.push((NodeKey::ProcBody(proc), None));
+                }
+                TraceEvent::LoopEnter { loop_id } => {
+                    fire(icount, edge(ctx, NodeKey::LoopHead(loop_id)));
+                    stack.push((NodeKey::LoopHead(loop_id), Some(0)));
+                }
+                TraceEvent::LoopIter { loop_id } => {
+                    fire(
+                        icount,
+                        edge(NodeKey::LoopHead(loop_id), NodeKey::LoopBody(loop_id)),
+                    );
+                    if let Some((key, Some(iters))) = stack.last_mut() {
+                        if let Some((g, id)) = group(loop_id) {
+                            if *iters % g.max(1) == 0 {
+                                fire(icount, Some(id));
+                            }
+                        }
+                        *key = NodeKey::LoopBody(loop_id);
+                        *iters += 1;
+                    }
+                }
+                TraceEvent::Return { .. } | TraceEvent::LoopExit { .. } => {
+                    stack.pop();
+                }
+                _ => {}
+            }
+        }
+        firings
+    }
+
+    /// A well-nested control stream from `(op, id)` choices: an
+    /// iteration or a close only where the open frame allows it.
+    fn event_stream(ops: &[(u8, usize)]) -> Vec<(u64, TraceEvent)> {
+        let mut open: Vec<TraceEvent> = Vec::new();
+        let mut events = Vec::new();
+        for (i, &(op, id)) in ops.iter().enumerate() {
+            let id = IDS[id];
+            let event = match (op, open.last()) {
+                (0, _) => TraceEvent::Call { proc: ProcId(id) },
+                (1, _) => TraceEvent::LoopEnter {
+                    loop_id: LoopId(id),
+                },
+                (2, Some(&TraceEvent::LoopEnter { loop_id })) => TraceEvent::LoopIter { loop_id },
+                (3, Some(&TraceEvent::Call { proc })) => TraceEvent::Return { proc },
+                (3, Some(&TraceEvent::LoopEnter { loop_id })) => TraceEvent::LoopExit { loop_id },
+                _ => TraceEvent::BlockExec {
+                    block: BlockId(id),
+                    instrs: 3,
+                    base_cpi: 1.0,
+                },
+            };
+            match event {
+                TraceEvent::Call { .. } | TraceEvent::LoopEnter { .. } => open.push(event),
+                TraceEvent::Return { .. } | TraceEvent::LoopExit { .. } => {
+                    open.pop();
+                }
+                _ => {}
+            }
+            events.push((3 * i as u64, event));
+        }
+        events
+    }
+
+    /// Markers biased toward edges the stream can traverse: `kind`
+    /// picks the edge shape, `ctx` the context key of an entry edge.
+    fn marker_set(specs: &[(u8, usize, u8, u64)]) -> MarkerSet {
+        specs
+            .iter()
+            .map(|&(kind, id, ctx, group)| {
+                let id = IDS[id];
+                let from = match ctx % 4 {
+                    0 => NodeKey::Root,
+                    1 => NodeKey::ProcBody(ProcId(id.wrapping_add(1))),
+                    2 => NodeKey::LoopHead(LoopId(id)),
+                    _ => NodeKey::LoopBody(LoopId(id.wrapping_sub(1))),
+                };
+                let (p, l) = (ProcId(id), LoopId(id));
+                match kind {
+                    0 => Marker::Edge {
+                        from,
+                        to: NodeKey::ProcHead(p),
+                    },
+                    1 => Marker::Edge {
+                        from: NodeKey::ProcHead(p),
+                        to: NodeKey::ProcBody(p),
+                    },
+                    2 => Marker::Edge {
+                        from,
+                        to: NodeKey::LoopHead(l),
+                    },
+                    3 => Marker::Edge {
+                        from: NodeKey::LoopHead(l),
+                        to: NodeKey::LoopBody(l),
+                    },
+                    _ => Marker::LoopGroup { loop_id: l, group },
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hashed lookups fire exactly the markers a linear scan
+        /// finds, in the same order, whatever the batch cuts.
+        #[test]
+        fn runtime_firings_match_linear_scan_oracle(
+            ops in proptest::collection::vec((0u8..5, 0usize..IDS.len()), 0..400),
+            specs in proptest::collection::vec(
+                (0u8..5, 0usize..IDS.len(), 0u8..4, 0u64..5),
+                0..24,
+            ),
+            cut in 1usize..64,
+        ) {
+            let events = event_stream(&ops);
+            let set = marker_set(&specs);
+            let mut runtime = MarkerRuntime::new(&set);
+            for batch in events.chunks(cut) {
+                runtime.on_batch(batch);
+            }
+            prop_assert_eq!(runtime.into_firings(), oracle_firings(&set, &events));
+        }
     }
 }

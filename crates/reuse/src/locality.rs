@@ -7,7 +7,7 @@ use crate::sequitur::Sequitur;
 use crate::tracker::ReuseTracker;
 use spm_core::MarkerFiring;
 use spm_ir::BlockId;
-use spm_sim::{TraceEvent, TraceObserver};
+use spm_sim::{FastMap, TraceEvent, TraceObserver};
 use std::collections::HashMap;
 
 /// Parameters of the locality-phase analysis.
@@ -341,7 +341,7 @@ fn select_marker_blocks(
 /// [`spm_core::partition`].
 #[derive(Debug, Clone)]
 pub struct ReuseMarkerRuntime {
-    index: HashMap<BlockId, usize>,
+    index: FastMap<BlockId, usize>,
     firings: Vec<MarkerFiring>,
 }
 

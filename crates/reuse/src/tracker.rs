@@ -1,7 +1,7 @@
 //! Exact LRU stack-distance (reuse-distance) computation.
 
+use spm_sim::FastMap;
 use spm_stats::LogHistogram;
-use std::collections::HashMap;
 
 /// Fenwick (binary indexed) tree over access-time slots, supporting
 /// point update and prefix sum in `O(log n)`. Capacity grows by
@@ -65,7 +65,7 @@ impl Fenwick {
 #[derive(Debug, Clone)]
 pub struct ReuseTracker {
     line_shift: u32,
-    last_access: HashMap<u64, usize>,
+    last_access: FastMap<u64, usize>,
     marked: Fenwick,
     time: usize,
     live: usize,
@@ -86,7 +86,7 @@ impl ReuseTracker {
         );
         Self {
             line_shift: line_bytes.trailing_zeros(),
-            last_access: HashMap::new(),
+            last_access: FastMap::default(),
             marked: Fenwick::default(),
             time: 0,
             live: 0,

@@ -349,8 +349,10 @@ fn analyzer_loop(shared: &Shared, handle: &SessionHandle) {
     }
 }
 
-fn batch_bytes(batch: &[(u64, TraceEvent)]) -> u64 {
-    std::mem::size_of_val(batch) as u64
+/// Bytes a queued batch holds: its capacity, which exceeds its length
+/// only for a block trimmed at the watermark.
+fn batch_bytes(batch: &Vec<(u64, TraceEvent)>) -> u64 {
+    (batch.capacity() * std::mem::size_of::<(u64, TraceEvent)>()) as u64
 }
 
 /// `Read` adaptor that turns read timeouts into shutdown polls: the
@@ -445,7 +447,7 @@ fn handle_block(
         );
         return Flow::Close;
     }
-    let decoded = match block.decode_events() {
+    let mut fresh = match block.decode_events() {
         Ok(events) => events,
         Err(e) => {
             shared.proto_errors.fetch_add(1, Ordering::Relaxed);
@@ -460,9 +462,10 @@ fn handle_block(
             return Flow::Close;
         }
     };
-    // Drop the sub-watermark prefix of a straddling block.
+    // Drop the sub-watermark prefix of a straddling block (a no-op for
+    // any other); the decoded events move into the queue uncopied.
     let skip = (accepted - block.meta.first_seq) as usize;
-    let fresh: Vec<(u64, TraceEvent)> = decoded[skip.min(decoded.len())..].to_vec();
+    fresh.drain(..skip.min(fresh.len()));
     let incoming = batch_bytes(&fresh);
     let mut queue = lock(&handle.queue);
     if queue.finished {

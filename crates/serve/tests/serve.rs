@@ -265,15 +265,21 @@ fn server_restart_resumes_from_the_journal() {
 
     // Second server on the same directory: the journaled prefix is
     // replayed; the client resends everything and the server skips the
-    // committed prefix.
+    // committed prefix. The client re-chunks with another budget, so
+    // one block straddles the watermark and the server must drop only
+    // its journaled head.
     let server = Server::start(config).unwrap();
     let mut send = SendConfig::new(&server.addr().to_string(), "restart");
-    send.block_budget = 512;
+    send.block_budget = 700;
     let outcome = send_events(&send, &events).unwrap();
     assert!(outcome.resumed, "WELCOME must report the resumed session");
     assert!(
         outcome.skipped_events > 0,
         "the journaled prefix must not be re-analyzed"
+    );
+    assert!(
+        outcome.skipped_events + outcome.events_sent < events.len() as u64,
+        "a resent block must straddle the watermark"
     );
     assert_eq!(outcome.done.events, events.len() as u64);
     assert_eq!(

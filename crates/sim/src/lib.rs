@@ -50,6 +50,7 @@
 mod engine;
 mod events;
 pub mod fault;
+pub mod hash;
 pub mod record;
 mod timeline;
 mod timing;
@@ -57,5 +58,6 @@ mod timing;
 pub use engine::{run, RunError, RunSummary, MAX_CALL_DEPTH};
 pub use events::{TraceEvent, TraceObserver};
 pub use fault::{FaultKind, FaultObserver, SplitMix64, TraceCorruptor};
+pub use hash::{FastMap, FoldHash};
 pub use timeline::{Timeline, TimelineSample};
 pub use timing::{TimingConfig, TimingModel};
