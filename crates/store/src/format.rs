@@ -208,15 +208,45 @@ impl std::fmt::Display for Compression {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Continues an FNV-1a-64 hash `h` over `bytes`.
+#[inline(always)]
+fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// FNV-1a 64-bit hash: the checksum of block payloads and of the index
 /// (and of `spm-serve` wire frames and `spm-corpus` content keys).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a64`] of four byte slices at once, lane for lane bit-identical
+/// to four separate calls.
+///
+/// FNV-1a is one serial multiply chain per input, so a single hash
+/// runs at the multiplier's latency. The four chains here are
+/// independent and interleaved byte by byte over the length the lanes
+/// share, which keeps four multiplies in flight; each lane's remaining
+/// bytes then finish alone. Block verification hashes payloads four at
+/// a time through this.
+pub(crate) fn fnv1a64x4(lanes: [&[u8]; 4]) -> [u64; 4] {
+    let shared = lanes.iter().map(|lane| lane.len()).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|lane| &lane[..shared]);
+    let mut h = [FNV_OFFSET; 4];
+    for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+        h[0] = (h[0] ^ u64::from(x0)).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ u64::from(x1)).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ u64::from(x2)).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ u64::from(x3)).wrapping_mul(FNV_PRIME);
     }
-    h
+    std::array::from_fn(|i| fnv1a64_from(h[i], &lanes[i][shared..]))
 }
 
 /// Reads a little-endian `u64` at `at`, or a typed truncation error if
@@ -367,6 +397,7 @@ impl Footer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn block_meta_round_trips_through_both_framings() {
@@ -468,5 +499,39 @@ mod tests {
         // Standard FNV-1a 64 test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a64x4([b"a", b"", b"a", b""]),
+            [
+                0xaf63_dc4c_8601_ec8c,
+                0xcbf2_9ce4_8422_2325,
+                0xaf63_dc4c_8601_ec8c,
+                0xcbf2_9ce4_8422_2325
+            ]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn each_fnv_lane_equals_the_single_hash(
+            lanes in (
+                proptest::collection::vec(any::<u8>(), 0..96),
+                proptest::collection::vec(any::<u8>(), 0..96),
+                proptest::collection::vec(any::<u8>(), 0..96),
+                proptest::collection::vec(any::<u8>(), 0..96),
+            ),
+            empty in 0usize..5,
+        ) {
+            // Unequal lengths, with one lane (or none, at 4) emptied.
+            let mut lanes = [lanes.0, lanes.1, lanes.2, lanes.3];
+            if let Some(lane) = lanes.get_mut(empty) {
+                lane.clear();
+            }
+            let hashed = fnv1a64x4([&lanes[0], &lanes[1], &lanes[2], &lanes[3]]);
+            for (lane, hash) in lanes.iter().zip(hashed) {
+                prop_assert_eq!(hash, fnv1a64(lane));
+            }
+        }
     }
 }

@@ -12,18 +12,22 @@
 //! accessor, so hostile bytes produce typed errors, never panics.
 
 use crate::format::{
-    fnv1a64, BlockMeta, Compression, Footer, SyncPolicy, COMPRESSION_OFFSET, FOOTER_LEN, FRAME_LEN,
-    HEADER_LEN, INDEX_ENTRY_LEN, MAGIC, MAGIC_PREFIX, SYNC_POLICY_OFFSET,
+    fnv1a64, fnv1a64x4, BlockMeta, Compression, Footer, SyncPolicy, COMPRESSION_OFFSET, FOOTER_LEN,
+    FRAME_LEN, HEADER_LEN, INDEX_ENTRY_LEN, MAGIC, MAGIC_PREFIX, SYNC_POLICY_OFFSET,
 };
 use crate::mmap::Mmap;
 use crate::StoreError;
-use spm_sim::record::{decode_event, DecodeError};
+use spm_sim::record::{decode_events, DecodeError};
 use spm_sim::{TraceEvent, TraceObserver};
 use std::path::Path;
 
 /// Below this many blocks, `par_replay` decodes inline on the calling
 /// thread: worker handoff would cost more than the decode itself.
 const PAR_REPLAY_MIN_BLOCKS: usize = 4;
+
+/// Blocks verified together by sequential replay: their payload
+/// checksums run as the interleaved lanes of one [`fnv1a64x4`] pass.
+const LANES: usize = 4;
 
 /// Container-level facts from the header and footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,15 +372,21 @@ impl StoreReader {
         let mut report = StoreReplayReport::default();
         let compression = self.info.compression;
         let data: &[u8] = &self.bytes;
-        // One arena reused across every block: decode allocates once
-        // for the whole replay, and delivery is one `on_batch` call
-        // per observer per block.
+        // Blocks are verified `LANES` at a time, then each is decoded
+        // and delivered in order; a block that fails its own check is
+        // skipped alone. One arena is reused across every block:
+        // decode allocates once for the whole replay, and delivery is
+        // one `on_batch` call per observer per block.
         let mut arena: Vec<(u64, TraceEvent)> = Vec::new();
-        for (block, &meta) in self.index.iter().enumerate().skip(first_block) {
-            let decoded = verified_payload(data, meta)
-                .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena))
-                .map(|()| arena.as_slice());
-            deliver_decoded(&mut report, block as u64, meta, decoded, min_seq, observers);
+        let groups = self.index.get(first_block..).unwrap_or_default();
+        for (group, metas) in (first_block..).step_by(LANES).zip(groups.chunks(LANES)) {
+            let verified = verified_payloads(data, metas);
+            for ((block, &meta), payload) in (group..).zip(metas).zip(verified) {
+                let decoded = payload
+                    .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena))
+                    .map(|()| arena.as_slice());
+                deliver_decoded(&mut report, block as u64, meta, decoded, min_seq, observers);
+            }
         }
         finish_replay_span(&mut span, &report);
         Ok(report)
@@ -519,8 +529,47 @@ fn block_bytes(data: &[u8], meta: BlockMeta) -> Result<(&[u8], &[u8]), DecodeErr
 
 /// Verifies one block against the container — the frame header must
 /// match `meta` and the payload its checksum — and returns the payload
-/// as a zero-copy slice.
+/// as a zero-copy slice: the one-block case of [`verified_payloads`].
 fn verified_payload(data: &[u8], meta: BlockMeta) -> Result<&[u8], DecodeError> {
+    let [verified, ..] = verified_payloads(data, &[meta]);
+    verified
+}
+
+/// Verifies up to [`LANES`] blocks, returning one result per meta in
+/// order (lanes past `metas.len()` hold an empty `Ok`). Each frame is
+/// checked against its meta first; the payloads that pass are then
+/// hashed together as the lanes of one [`fnv1a64x4`] pass, and each
+/// is held to its own frame's checksum, so one bad block fails alone.
+fn verified_payloads<'a>(
+    data: &'a [u8],
+    metas: &[BlockMeta],
+) -> [Result<&'a [u8], DecodeError>; LANES] {
+    debug_assert!(metas.len() <= LANES);
+    let mut verified: [Result<&[u8], DecodeError>; LANES] = [Ok(&[]); LANES];
+    let mut declared = [0u64; LANES];
+    for ((slot, checksum), &meta) in verified.iter_mut().zip(&mut declared).zip(metas) {
+        *slot = framed_payload(data, meta).map(|(payload, frame_checksum)| {
+            *checksum = frame_checksum;
+            payload
+        });
+    }
+    let actual = fnv1a64x4(verified.map(|lane| lane.unwrap_or_default()));
+    for ((slot, expected), actual) in verified
+        .iter_mut()
+        .zip(declared)
+        .zip(actual)
+        .take(metas.len())
+    {
+        if slot.is_ok() && actual != expected {
+            *slot = Err(DecodeError::ChecksumMismatch { expected, actual });
+        }
+    }
+    verified
+}
+
+/// One block's payload and the checksum its frame declares, once the
+/// frame header is in bounds and agrees with `meta`.
+fn framed_payload(data: &[u8], meta: BlockMeta) -> Result<(&[u8], u64), DecodeError> {
     let (frame, payload) = block_bytes(data, meta)?;
     let (frame_meta, declared) = BlockMeta::decode_frame(frame, meta.offset)?;
     if frame_meta != meta {
@@ -531,14 +580,7 @@ fn verified_payload(data: &[u8], meta: BlockMeta) -> Result<&[u8], DecodeError> 
             actual: u64::from(meta.payload_len),
         });
     }
-    let actual = fnv1a64(payload);
-    if actual != declared {
-        return Err(DecodeError::ChecksumMismatch {
-            expected: declared,
-            actual,
-        });
-    }
-    Ok(payload)
+    Ok((payload, declared))
 }
 
 /// Decodes one verified (stored) payload into `events` — decompressing
@@ -565,16 +607,7 @@ fn decode_block_into(
     // frame may declare billions: every event takes at least two bytes
     // (tag + delta), so the payload itself bounds the reservation.
     events.reserve((meta.events as usize).min(payload.len() / 2));
-    let mut pos = 0usize;
-    let mut icount = meta.start_icount;
-    while pos < payload.len() {
-        let at = pos;
-        let (delta, event) = decode_event(payload, &mut pos)?;
-        icount = icount
-            .checked_add(delta)
-            .ok_or(DecodeError::Overflow { offset: at })?;
-        events.push((icount, event));
-    }
+    let icount = decode_events(payload, meta.start_icount, events)?;
     if events.len() as u64 != u64::from(meta.events) {
         return Err(DecodeError::EventCountMismatch {
             declared: u64::from(meta.events),
@@ -582,7 +615,7 @@ fn decode_block_into(
         });
     }
     if icount != meta.end_icount {
-        return Err(DecodeError::EventCountMismatch {
+        return Err(DecodeError::IcountMismatch {
             declared: meta.end_icount,
             actual: icount,
         });

@@ -604,3 +604,98 @@ fn empty_stream_round_trips() {
     assert!(report.is_clean());
     assert!(got.is_empty());
 }
+
+#[test]
+fn bad_blocks_in_a_verification_group_are_skipped_alone() {
+    // Sequential replay checksums blocks four at a time. A bad block in
+    // the middle of a group, and the last block of a trailing partial
+    // group, must each be skipped alone while their group neighbours
+    // are delivered, in block order.
+    let (mut bytes, flat) = pack(256, 42);
+    let index = open(bytes.clone()).index().to_vec();
+    assert!(index.len() >= 10, "{} blocks", index.len());
+    let last = index.len() - 1;
+    assert_ne!(index.len() % 4, 0, "the last group must be partial");
+    let victims = [5, last];
+    for &victim in &victims {
+        // One flipped payload byte: the block fails its own checksum.
+        let meta = index[victim];
+        bytes[meta.offset as usize + FRAME_LEN + meta.payload_len as usize / 2] ^= 0x20;
+    }
+    let kept = |seq: usize| {
+        victims
+            .iter()
+            .all(|&v| (seq as u64) < index[v].first_seq || (seq as u64) >= index[v].end_seq())
+    };
+    let expected: Vec<_> = (0..flat.len())
+        .filter(|&i| kept(i))
+        .map(|i| flat[i])
+        .collect();
+
+    for mut reader in [open(bytes.clone()), open_file(&bytes)] {
+        let mut got = Vec::new();
+        let report = reader.replay(&mut [&mut got]).expect("replay");
+        let skipped: Vec<_> = report.skipped.iter().map(|s| s.block).collect();
+        assert_eq!(skipped, [5, last as u64]);
+        for s in &report.skipped {
+            assert!(
+                matches!(
+                    s.error,
+                    spm_sim::record::DecodeError::ChecksumMismatch { .. }
+                ),
+                "{s:?}"
+            );
+            assert_eq!(s.events, u64::from(index[s.block as usize].events));
+        }
+        assert_eq!(report.blocks, index.len() as u64 - 2);
+        assert_eq!(got, expected);
+
+        // Seeking into the middle of a block (groups then start at the
+        // seek block), a bad one included, delivers the same suffix.
+        for block in [4, 5, 6, 7, last - 1] {
+            let seq = index[block].first_seq + u64::from(index[block].events) / 2;
+            let mut tail = Vec::new();
+            let report = reader
+                .replay_from_seq(seq, &mut [&mut tail])
+                .expect("seek replay");
+            let suffix: Vec<_> = (seq as usize..flat.len())
+                .filter(|&i| kept(i))
+                .map(|i| flat[i])
+                .collect();
+            assert_eq!(tail, suffix, "from block {block}");
+            assert_eq!(
+                report.skipped.iter().map(|s| s.block).collect::<Vec<_>>(),
+                victims
+                    .iter()
+                    .filter(|&&v| v >= block)
+                    .map(|&v| v as u64)
+                    .collect::<Vec<_>>()
+            );
+        }
+    }
+}
+
+#[test]
+fn end_watermark_mismatch_is_an_icount_error() {
+    let (bytes, _) = pack(512, 9);
+    let meta = open(bytes.clone()).index()[0];
+    let at = meta.offset as usize + FRAME_LEN;
+    let payload = &bytes[at..at + meta.payload_len as usize];
+    assert!(spm_store::decode_block(payload, meta, Compression::None).is_ok());
+    let off_by_one = spm_store::format::BlockMeta {
+        end_icount: meta.end_icount + 1,
+        ..meta
+    };
+    let err = spm_store::decode_block(payload, off_by_one, Compression::None)
+        .expect_err("watermark disagrees");
+    assert_eq!(
+        err,
+        spm_sim::record::DecodeError::IcountMismatch {
+            declared: meta.end_icount + 1,
+            actual: meta.end_icount,
+        }
+    );
+    let text = err.to_string();
+    assert!(text.contains("instruction count mismatch"), "{text}");
+    assert!(!text.contains("events"), "{text}");
+}
