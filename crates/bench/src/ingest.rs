@@ -1,11 +1,10 @@
-//! Ingest-throughput figure: one recorded event stream decoded four
-//! ways — sequential `spmstk01` store replay (the production hot path,
-//! one `on_batch` call per block), parallel
-//! store replay, sequential replay of an LZ-compressed container, and
-//! recovery-path replay of a store whose ingest was killed mid-write by
-//! the seeded [`spm_store::FaultyIo`] failpoint disk (the crash-safety
-//! overhead of DESIGN.md §12: transient-retry absorption on the way in,
-//! torn-tail recovery on the way out).
+//! Ingest-throughput figure: one recorded event stream decoded three
+//! ways — `spmstk01` store replay (the production hot path, one
+//! `on_batch` call per block), replay of an LZ-compressed container,
+//! and recovery-path replay of a store whose ingest was killed
+//! mid-write by the seeded [`spm_store::FaultyIo`] failpoint disk (the
+//! crash-safety overhead of DESIGN.md §12: transient-retry absorption
+//! on the way in, torn-tail recovery on the way out).
 //!
 //! Store rows read real files through [`StoreReader::open`] — the
 //! production path, where block payloads are zero-copy slices of the
@@ -28,14 +27,9 @@ use spm_store::{
 /// Workload whose `ref` input feeds the ingest figure.
 pub const INGEST_WORKLOAD: &str = "gzip";
 
-/// The decode paths, in figure order. `store-batch` is the sequential
+/// The decode paths, in figure order. `store-batch` is the plain
 /// replay.
-pub const DECODERS: [&str; 4] = [
-    "store-batch",
-    "store-par",
-    "store-compressed",
-    "store-faulted",
-];
+pub const DECODERS: [&str; 3] = ["store-batch", "store-compressed", "store-faulted"];
 
 /// Seed of the faulted-ingest schedule (any seed must satisfy the
 /// durability invariant; this one is fixed so the figure is a golden).
@@ -72,7 +66,7 @@ pub struct IngestData {
     /// recovers the committed prefix of an ingest killed mid-write, so
     /// it is at most `events` and at least the crash-time commit
     /// watermark.
-    pub decoded: [u64; 4],
+    pub decoded: [u64; 3],
     /// Events the writer had durably committed when the faulted ingest
     /// was killed (the floor for `decoded[store-faulted]`).
     pub faulted_committed: u64,
@@ -96,16 +90,13 @@ fn opened_store(name: &str, bytes: &[u8]) -> Result<(std::path::PathBuf, StoreRe
     Ok((path, reader))
 }
 
-/// Replays every block of `reader` into a counter, sequentially or
-/// over the `spm-par` pool, returning the events delivered.
-fn decode(reader: &mut StoreReader, parallel: bool, stage: &str) -> Result<u64, SpmError> {
+/// Replays every block of `reader` into a counter, returning the
+/// events delivered.
+fn decode(reader: &mut StoreReader, stage: &str) -> Result<u64, SpmError> {
     let mut count = Count(0);
-    let report = if parallel {
-        reader.par_replay(&mut [&mut count])
-    } else {
-        reader.replay(&mut [&mut count])
-    }
-    .map_err(|e| analysis_error(stage, e))?;
+    let report = reader
+        .replay(&mut [&mut count])
+        .map_err(|e| analysis_error(stage, e))?;
     debug_assert!(report.is_clean());
     Ok(count.0)
 }
@@ -134,8 +125,7 @@ pub fn compute() -> Result<IngestData, SpmError> {
 
     // Production path: whole blocks delivered per observer call.
     let (store_path, mut reader) = opened_store("plain", &store_buf)?;
-    let batch_decoded = decode(&mut reader, false, "ingest/store-batch")?;
-    let par_decoded = decode(&mut reader, true, "ingest/store-par")?;
+    let batch_decoded = decode(&mut reader, "ingest/store-batch")?;
     drop(reader);
     std::fs::remove_file(&store_path).ok();
     // The faulted row repacks this same stream (see below); build its
@@ -144,7 +134,7 @@ pub fn compute() -> Result<IngestData, SpmError> {
     drop(store_buf);
 
     let (lz_path, mut reader) = opened_store("lz", &lz_buf)?;
-    let compressed_decoded = decode(&mut reader, false, "ingest/store-compressed")?;
+    let compressed_decoded = decode(&mut reader, "ingest/store-compressed")?;
     drop(reader);
     std::fs::remove_file(&lz_path).ok();
 
@@ -154,7 +144,7 @@ pub fn compute() -> Result<IngestData, SpmError> {
     // rebuild, torn-tail discard) before the committed prefix replays.
     let mut reader =
         StoreReader::from_bytes(torn).map_err(|e| analysis_error("ingest/store-faulted", e))?;
-    let faulted_decoded = decode(&mut reader, false, "ingest/store-faulted")?;
+    let faulted_decoded = decode(&mut reader, "ingest/store-faulted")?;
     if faulted_decoded < faulted_committed {
         return Err(analysis_error(
             "ingest/store-faulted",
@@ -168,12 +158,7 @@ pub fn compute() -> Result<IngestData, SpmError> {
         store_bytes: packed.file_bytes,
         compressed_bytes: lz_packed.file_bytes,
         blocks: packed.blocks,
-        decoded: [
-            batch_decoded,
-            par_decoded,
-            compressed_decoded,
-            faulted_decoded,
-        ],
+        decoded: [batch_decoded, compressed_decoded, faulted_decoded],
         faulted_committed,
         faulted_retries,
     })

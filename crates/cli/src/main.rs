@@ -43,7 +43,7 @@
 //! `simpoint` accept a store anywhere a workload is accepted — via
 //! `--store FILE` or simply by passing a `.spmstk` file (detected by
 //! extension or magic) — and run the same analyses off the container
-//! with bounded memory, decoding blocks in parallel. A corrupted block
+//! with bounded memory, decoding one block at a time. A corrupted block
 //! degrades to a structured `store/skipped-block` warning instead of
 //! failing the run.
 //!
@@ -377,7 +377,7 @@ FLAGS:
                       in flight)
   --compress          `pack`: LZ-compress each block payload (recorded
                       in the header; replay decompresses transparently,
-                      composing with parallel decode and recovery)
+                      composing with recovery)
   --input train|ref   which input to run (default: ref; select defaults to train)
   --ilower N          minimum average interval size in instructions (default 10000)
   --limit N           enable the max-interval-size (SimPoint) variant
@@ -726,18 +726,15 @@ fn open_store(path: &str, err: &mut String) -> Result<StoreReader, CliError> {
     Ok(reader)
 }
 
-/// Replays a store into the observers with parallel block decode
-/// (inline when nested in a batch worker), degrading corrupt blocks to
-/// a single deduped warning line appended to `err`.
+/// Replays a store into the observers, degrading corrupt blocks to a
+/// single deduped warning line appended to `err`.
 fn store_replay(
     reader: &mut StoreReader,
     observers: &mut [&mut dyn TraceObserver],
     name: &str,
     err: &mut String,
 ) -> Result<spm_store::StoreReplayReport, CliError> {
-    let report = reader
-        .par_replay(observers)
-        .map_err(|e| store_error(name, e))?;
+    let report = reader.replay(observers).map_err(|e| store_error(name, e))?;
     if !report.is_clean() {
         // Per-block facts already went out as `store/skipped-block`
         // events; this summary keys the stderr line and is deduped per
@@ -1182,13 +1179,11 @@ fn cmd_replay(parsed: &ParsedArgs) -> Result<(), CliError> {
 /// the writer.
 fn pack_feed<S: spm_store::StoreIo>(
     writer: &mut StoreWriter<S>,
-    parsed: &ParsedArgs,
-    name: &str,
+    w: &Target,
+    input: &Input,
 ) -> Result<(), CliError> {
-    let w = target(name)?;
-    let input = input_of(&w, parsed, "ref")?;
     writer.set_block_dims(w.program.block_sizes().len() as u32);
-    run(&w.program, &input, &mut [&mut *writer]).map_err(SpmError::Run)?;
+    run(&w.program, input, &mut [&mut *writer]).map_err(SpmError::Run)?;
     Ok(())
 }
 
@@ -1227,13 +1222,17 @@ fn cmd_pack(parsed: &ParsedArgs) -> Result<(), CliError> {
     } else {
         spm_store::Compression::None
     };
+    // Resolve the workload before `--out` is touched, so a bad name or
+    // input leaves an existing file there as it was.
+    let w = target(name)?;
+    let input = input_of(&w, parsed, "ref")?;
 
     // Failpoint hook (DESIGN.md §12): SPM_PACK_FAULT routes the pack
     // through the deterministic FaultyIo disk so crash-recovery tests
     // exercise the real CLI end to end. The surviving (possibly torn)
     // image is written to --out, exactly what a killed process leaves.
     if let Ok(spec) = std::env::var("SPM_PACK_FAULT") {
-        return pack_through_failpoint(parsed, name, &out, budget, sync, compression, &spec);
+        return pack_through_failpoint(&w, &input, &out, budget, sync, compression, &spec);
     }
 
     let sink = spm_store::FileIo::create(std::path::Path::new(&out)).map_err(|e| SpmError::Io {
@@ -1243,7 +1242,7 @@ fn cmd_pack(parsed: &ParsedArgs) -> Result<(), CliError> {
     let mut writer = StoreWriter::with_block_budget(sink, budget)
         .sync_policy(sync)
         .compression(compression);
-    pack_feed(&mut writer, parsed, name)?;
+    pack_feed(&mut writer, &w, &input)?;
     let summary = writer.finish().map_err(|e| store_error(&out, e))?;
     eprintln!("{}", pack_summary_line(&out, &summary));
     Ok(())
@@ -1251,8 +1250,8 @@ fn cmd_pack(parsed: &ParsedArgs) -> Result<(), CliError> {
 
 /// `cmd_pack` through a [`spm_store::FaultyIo`] failpoint disk.
 fn pack_through_failpoint(
-    parsed: &ParsedArgs,
-    name: &str,
+    w: &Target,
+    input: &Input,
     out: &str,
     budget: usize,
     sync: spm_store::SyncPolicy,
@@ -1264,7 +1263,7 @@ fn pack_through_failpoint(
     let mut writer = StoreWriter::with_block_budget(spm_store::FaultyIo::new(plan), budget)
         .sync_policy(sync)
         .compression(compression);
-    let feed = pack_feed(&mut writer, parsed, name);
+    let feed = pack_feed(&mut writer, w, input);
     let outcome = writer.finish_with_sink();
     // Persist whatever survived — torn tail included — so downstream
     // commands open the same bytes a real crash would leave.

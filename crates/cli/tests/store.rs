@@ -342,6 +342,36 @@ fn exhausted_retries_exit_with_their_own_code() {
 }
 
 #[test]
+fn pack_with_a_bad_workload_or_input_leaves_out_untouched() {
+    let store = tmp("untouched.spmstk");
+    let path = store.to_str().expect("utf8");
+    let gzip = workload_path("workloads/gzip.spm");
+    let bad: [&[&str]; 2] = [&["nosuchwl"], &[gzip.as_str(), "--input", "nosuchinput"]];
+    for args in bad {
+        for fault in [None, Some("seed=3,crash-at-op=40")] {
+            std::fs::write(&store, b"abcdef").expect("write");
+            let mut argv = vec!["pack"];
+            argv.extend_from_slice(args);
+            argv.extend(["--out", path]);
+            let envs: Vec<_> = fault.map(|f| ("SPM_PACK_FAULT", f)).into_iter().collect();
+            let out = spm_env(&argv, &envs);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{argv:?} {fault:?}: {}",
+                stderr(&out)
+            );
+            assert_eq!(
+                std::fs::read(&store).expect("read"),
+                b"abcdef",
+                "{argv:?} {fault:?} touched --out"
+            );
+        }
+    }
+    std::fs::remove_file(&store).ok();
+}
+
+#[test]
 fn transient_faults_are_absorbed_with_retry_telemetry() {
     let wl = workload_path("workloads/example.spm");
     let store = tmp("flaky.spmstk");

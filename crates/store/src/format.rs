@@ -60,7 +60,7 @@
 //! Every multi-byte integer is little-endian. Because blocks reset the
 //! delta base and carry their own start watermark and sequence number,
 //! any block decodes independently of every other — the property the
-//! parallel decoder and the skip-bad-blocks recovery path both rely on.
+//! skip-bad-blocks recovery path and the serve wire protocol rely on.
 
 use spm_sim::record::DecodeError;
 
@@ -159,7 +159,7 @@ impl std::fmt::Display for SyncPolicy {
 /// and decoding under the wrong codec would feed garbage downstream.
 /// Because blocks are compressed independently and the frame checksum
 /// covers the stored (compressed) bytes, compression composes with
-/// parallel decode and torn-tail recovery unchanged.
+/// skip-bad-block replay and torn-tail recovery unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
     /// Payloads are stored as encoded (the historical format).

@@ -6,25 +6,25 @@
 //! read it).
 //!
 //! A trace kept as a single checksummed payload would be compact, but
-//! one flipped bit would lose the whole tail, decoding would be
-//! inherently serial, and any replay would start at byte zero. The
-//! store encodes events with the `spm_sim::record` codec (tag byte +
-//! LEB128 varints, delta-encoded instruction counts) but cuts the
-//! stream into fixed-budget blocks
-//! (~256 KiB pre-compression by default), each framed with its own
-//! FNV-1a-64 checksum, first event sequence number, and instruction
-//! watermarks, plus a footer index over all blocks. That buys:
+//! one flipped bit would lose the whole tail. The store encodes
+//! events with the `spm_sim::record` codec (tag byte + LEB128 varints,
+//! delta-encoded instruction counts) but cuts the stream into
+//! fixed-budget blocks (~256 KiB pre-compression by default), each
+//! framed with its own FNV-1a-64 checksum, first event sequence
+//! number, and instruction watermarks, plus a footer index over all
+//! blocks. That buys:
 //!
 //! - **Streaming ingest** with bounded memory — [`StoreWriter`] is a
 //!   `TraceObserver`, holding one block plus the index.
 //! - **One read path** — [`StoreReader`] parses one byte slice (the
 //!   memory-mapped file, or the file read whole where mapping is
 //!   unavailable), so every block is a bounds-checked zero-copy slice.
-//! - **O(log B) random access** — [`StoreReader::replay_from_seq`] and
-//!   [`StoreReader::replay_from_icount`] binary-search the index.
-//! - **Parallel decode** — blocks are self-contained, so
-//!   [`StoreReader::par_replay`] fans decoding over `spm-par` while
-//!   delivering events to observers strictly in order.
+//! - **One replay path** — [`StoreReader::replay`] verifies block
+//!   checksums four at a time and decodes each block into one reused
+//!   arena, delivering events to observers strictly in order.
+//! - **Self-contained blocks** — each block decodes on its own from its
+//!   frame's watermarks ([`decode_block`] is how the serve wire
+//!   protocol reads them), and the index keeps the format seekable.
 //! - **Localized corruption** — a damaged block is skipped with a
 //!   structured `store/skipped-block` warning; every other block still
 //!   replays (the graceful-degradation contract of the wider pipeline).

@@ -1,6 +1,5 @@
-//! Random access and replay: [`StoreReader`] opens an `spmstk01`
-//! container, verifies its index, and replays events to observers —
-//! sequentially or with parallel block decode.
+//! Replay: [`StoreReader`] opens an `spmstk01` container, verifies its
+//! index, and replays events to observers in order, block by block.
 //!
 //! The reader parses one byte slice. [`StoreReader::open`] memory-maps
 //! the file ([`crate::mmap`]), so block payloads are verified and
@@ -21,12 +20,8 @@ use spm_sim::record::{decode_events, DecodeError};
 use spm_sim::{TraceEvent, TraceObserver};
 use std::path::Path;
 
-/// Below this many blocks, `par_replay` decodes inline on the calling
-/// thread: worker handoff would cost more than the decode itself.
-const PAR_REPLAY_MIN_BLOCKS: usize = 4;
-
-/// Blocks verified together by sequential replay: their payload
-/// checksums run as the interleaved lanes of one [`fnv1a64x4`] pass.
+/// Blocks verified together by replay: their payload checksums run as
+/// the interleaved lanes of one [`fnv1a64x4`] pass.
 const LANES: usize = 4;
 
 /// Container-level facts from the header and footer.
@@ -100,8 +95,7 @@ impl StoreReplayReport {
 /// Reads an `spmstk01` container held as one byte slice: a read-only
 /// file mapping, or the whole file read into memory where mapping is
 /// unavailable. The index is parsed once; payloads are verified and
-/// decoded straight out of the slice, one block (sequential replay) or
-/// one decode batch (parallel replay) at a time.
+/// decoded straight out of the slice, one block at a time.
 #[derive(Debug)]
 pub struct StoreReader {
     bytes: Bytes,
@@ -297,24 +291,6 @@ impl StoreReader {
         Ok(fnv1a64(&acc))
     }
 
-    /// The block containing event sequence number `seq`, by binary
-    /// search — the O(log B) seek of the footer index.
-    pub fn block_for_seq(&self, seq: u64) -> Option<usize> {
-        if seq >= self.index.last()?.end_seq() {
-            return None;
-        }
-        Some(self.index.partition_point(|m| m.end_seq() <= seq))
-    }
-
-    /// The first block whose events reach past dynamic instruction
-    /// offset `icount`, by binary search.
-    pub fn block_for_icount(&self, icount: u64) -> Option<usize> {
-        if icount >= self.index.last()?.end_icount {
-            return None;
-        }
-        Some(self.index.partition_point(|m| m.end_icount <= icount))
-    }
-
     /// Replays every event to the observers in order, one block at a
     /// time (peak decode memory: one block's events). Undecodable
     /// blocks are skipped with a structured `store/skipped-block`
@@ -330,44 +306,6 @@ impl StoreReader {
         &mut self,
         observers: &mut [&mut dyn TraceObserver],
     ) -> Result<StoreReplayReport, StoreError> {
-        self.replay_blocks(0, 0, observers)
-    }
-
-    /// Replays all events with sequence number `>= seq`: seeks to the
-    /// containing block (O(log B)), then streams to the end. Sequence
-    /// numbers past the end deliver nothing.
-    pub fn replay_from_seq(
-        &mut self,
-        seq: u64,
-        observers: &mut [&mut dyn TraceObserver],
-    ) -> Result<StoreReplayReport, StoreError> {
-        match self.block_for_seq(seq) {
-            Some(block) => self.replay_blocks(block, seq, observers),
-            None => Ok(StoreReplayReport::default()),
-        }
-    }
-
-    /// Replays every event from the first block whose events reach past
-    /// dynamic instruction offset `icount` (block-granular: the block's
-    /// earlier events are delivered too, so observers see consistent
-    /// per-block state).
-    pub fn replay_from_icount(
-        &mut self,
-        icount: u64,
-        observers: &mut [&mut dyn TraceObserver],
-    ) -> Result<StoreReplayReport, StoreError> {
-        match self.block_for_icount(icount) {
-            Some(block) => self.replay_blocks(block, 0, observers),
-            None => Ok(StoreReplayReport::default()),
-        }
-    }
-
-    fn replay_blocks(
-        &self,
-        first_block: usize,
-        min_seq: u64,
-        observers: &mut [&mut dyn TraceObserver],
-    ) -> Result<StoreReplayReport, StoreError> {
         let mut span = spm_obs::span("store/replay");
         let mut report = StoreReplayReport::default();
         let compression = self.info.compression;
@@ -378,64 +316,36 @@ impl StoreReader {
         // decode allocates once for the whole replay, and delivery is
         // one `on_batch` call per observer per block.
         let mut arena: Vec<(u64, TraceEvent)> = Vec::new();
-        let groups = self.index.get(first_block..).unwrap_or_default();
-        for (group, metas) in (first_block..).step_by(LANES).zip(groups.chunks(LANES)) {
+        for (group, metas) in (0u64..).step_by(LANES).zip(self.index.chunks(LANES)) {
             let verified = verified_payloads(data, metas);
             for ((block, &meta), payload) in (group..).zip(metas).zip(verified) {
-                let decoded = payload
+                match payload
                     .and_then(|payload| decode_block_into(payload, meta, compression, &mut arena))
-                    .map(|()| arena.as_slice());
-                deliver_decoded(&mut report, block as u64, meta, decoded, min_seq, observers);
+                {
+                    Ok(()) => {
+                        for obs in observers.iter_mut() {
+                            obs.on_batch(&arena);
+                        }
+                        report.events += arena.len() as u64;
+                        report.blocks += 1;
+                    }
+                    Err(error) => skip_block(&mut report, block, meta, error),
+                }
             }
         }
-        finish_replay_span(&mut span, &report);
-        Ok(report)
-    }
-
-    /// Like [`replay`](Self::replay), but fans block decoding out over
-    /// the `spm-par` worker pool in bounded batches while delivering
-    /// events to the observers strictly in order. Workers verify and
-    /// decode payload slices of the container directly; peak decode
-    /// memory is O(batch × block events), and output is byte-identical
-    /// to the sequential path at any worker count.
-    ///
-    /// When fanning out cannot pay for itself — a single-core host, or
-    /// fewer blocks than the handoff is worth — the decode runs inline
-    /// on the calling thread instead; the `store/par_replay` span
-    /// records which mode ran in its `mode` field.
-    pub fn par_replay(
-        &mut self,
-        observers: &mut [&mut dyn TraceObserver],
-    ) -> Result<StoreReplayReport, StoreError> {
-        let mut span = spm_obs::span("store/par_replay");
-        let jobs = spm_par::default_jobs().max(1);
-        if jobs == 1
-            || spm_par::available_parallelism() == 1
-            || self.index.len() < PAR_REPLAY_MIN_BLOCKS
-        {
-            span.field("mode", "serial");
-            // The serial path opens (and closes) its own `store/replay`
-            // span; the outer span is left without replay counters so
-            // nothing is double-counted.
-            return self.replay_blocks(0, 0, observers);
-        }
-        span.field("mode", "parallel");
-        let compression = self.info.compression;
-        let data: &[u8] = &self.bytes;
-        let mut report = StoreReplayReport::default();
-        let mut first = 0usize;
-        for metas in self.index.chunks(jobs * 2) {
-            let decoded = spm_par::par_map(metas, |&meta| {
-                verified_payload(data, meta)
-                    .and_then(|payload| decode_block(payload, meta, compression))
-            });
-            for ((block, &meta), events) in (first..).zip(metas).zip(decoded) {
-                let events = events.as_deref().map_err(|e| *e);
-                deliver_decoded(&mut report, block as u64, meta, events, 0, observers);
+        if span.is_live() {
+            span.field("blocks", report.blocks);
+            span.field("events", report.events);
+            span.field("skipped_blocks", report.skipped.len() as u64);
+            let secs = span.elapsed().as_secs_f64();
+            if secs > 0.0 {
+                spm_obs::gauge("store/replay_events_per_sec", report.events as f64 / secs);
             }
-            first += metas.len();
         }
-        finish_replay_span(&mut span, &report);
+        if !report.skipped.is_empty() {
+            spm_obs::counter("store/skipped_blocks", report.skipped.len() as u64);
+            spm_obs::counter("store/skipped_events", report.skipped_events());
+        }
         Ok(report)
     }
 }
@@ -623,12 +533,12 @@ fn decode_block_into(
     Ok(())
 }
 
-/// Decodes one block payload into an owned event list: the parallel
-/// replay path's per-worker decode, and the decoder for any other
-/// carrier of spmstk01 blocks (the serve wire protocol). The payload
-/// must already have passed its checksum; the declared event count and
-/// end icount are cross-checked, and an untrusted `meta.events` never
-/// sizes an allocation beyond what the payload can hold.
+/// Decodes one block payload into an owned event list: the decoder for
+/// spmstk01 blocks carried outside a container (the serve wire
+/// protocol). The payload must already have passed its checksum; the
+/// declared event count and end icount are cross-checked, and an
+/// untrusted `meta.events` never sizes an allocation beyond what the
+/// payload can hold.
 ///
 /// # Errors
 ///
@@ -642,35 +552,6 @@ pub fn decode_block(
     let mut events = Vec::new();
     decode_block_into(payload, meta, compression, &mut events)?;
     Ok(events)
-}
-
-/// Delivers one decoded block as a batch (skipping events with
-/// sequence number below `min_seq`), or records the skip if decoding
-/// failed. Every replay path ends here: the sequential ones pass their
-/// reused arena, the parallel one each worker's owned block with
-/// `min_seq = 0`.
-fn deliver_decoded(
-    report: &mut StoreReplayReport,
-    block: u64,
-    meta: BlockMeta,
-    decoded: Result<&[(u64, TraceEvent)], DecodeError>,
-    min_seq: u64,
-    observers: &mut [&mut dyn TraceObserver],
-) {
-    match decoded {
-        Ok(arena) => {
-            let skip = min_seq
-                .saturating_sub(meta.first_seq)
-                .min(arena.len() as u64) as usize;
-            let batch = &arena[skip..];
-            for obs in observers.iter_mut() {
-                obs.on_batch(batch);
-            }
-            report.events += batch.len() as u64;
-            report.blocks += 1;
-        }
-        Err(error) => skip_block(report, block, meta, error),
-    }
 }
 
 /// Records a skipped block in the report and the structured stream.
@@ -688,20 +569,4 @@ fn skip_block(report: &mut StoreReplayReport, block: u64, meta: BlockMeta, error
         events: u64::from(meta.events),
         error,
     });
-}
-
-fn finish_replay_span(span: &mut spm_obs::Span, report: &StoreReplayReport) {
-    if span.is_live() {
-        span.field("blocks", report.blocks);
-        span.field("events", report.events);
-        span.field("skipped_blocks", report.skipped.len() as u64);
-        let secs = span.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            spm_obs::gauge("store/replay_events_per_sec", report.events as f64 / secs);
-        }
-    }
-    if !report.skipped.is_empty() {
-        spm_obs::counter("store/skipped_blocks", report.skipped.len() as u64);
-        spm_obs::counter("store/skipped_events", report.skipped_events());
-    }
 }

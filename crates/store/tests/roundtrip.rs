@@ -1,5 +1,5 @@
-//! Round-trip, seek, parallel-decode, and corruption-recovery tests
-//! for the `spmstk01` container, against real simulator event streams.
+//! Round-trip and corruption-recovery tests for the `spmstk01`
+//! container, against real simulator event streams.
 
 use proptest::prelude::*;
 use spm_ir::{Input, ProcId, Program, ProgramBuilder, Trip};
@@ -94,18 +94,6 @@ fn replay_matches_direct_observation() {
     assert!(report.is_clean());
     assert_eq!(report.events, flat.len() as u64);
     assert_eq!(got, flat);
-}
-
-#[test]
-fn par_replay_matches_sequential_replay() {
-    let (bytes, flat) = pack(256, 7);
-    let mut seq = Vec::new();
-    let mut par = Vec::new();
-    open(bytes.clone()).replay(&mut [&mut seq]).expect("replay");
-    let report = open(bytes).par_replay(&mut [&mut par]).expect("par_replay");
-    assert!(report.is_clean());
-    assert_eq!(par, seq);
-    assert_eq!(par, flat);
 }
 
 #[test]
@@ -225,25 +213,6 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Seeking to a sequence number delivers exactly the tail of a full
-    /// scan.
-    #[test]
-    fn seek_to_sequence_equals_scan_tail(
-        seed in 0u64..1000,
-        pick in 0usize..1_000_000,
-    ) {
-        let (bytes, flat) = pack(512, seed);
-        let seq = (pick % (flat.len() + 2)) as u64;
-        let mut got = Vec::new();
-        let report = open(bytes)
-            .replay_from_seq(seq, &mut [&mut got])
-            .expect("seek replay");
-        let tail = &flat[(seq as usize).min(flat.len())..];
-        prop_assert!(report.is_clean());
-        prop_assert_eq!(report.events, tail.len() as u64);
-        prop_assert_eq!(&got[..], tail);
-    }
-
     /// Truncating *inside* the footer or the index (including mid-way
     /// through an index entry or the footer's checksum field) loses no
     /// block: every block frame is still intact, so recovery rebuilds
@@ -304,48 +273,6 @@ proptest! {
         prop_assert!(got.is_empty());
     }
 
-    /// Corruption and parallel decode compose: par_replay skips the
-    /// same block the sequential path does.
-    #[test]
-    fn par_replay_handles_corruption_like_sequential(
-        seed in 0u64..1000,
-        pick in 0usize..1_000_000,
-    ) {
-        let (mut bytes, _flat) = pack(512, seed);
-        let reader = open(bytes.clone());
-        let index: Vec<_> = reader.index().to_vec();
-        drop(reader);
-        prop_assume!(index.len() >= 2);
-        let victim = pick % index.len();
-        let meta = index[victim];
-        bytes[meta.offset as usize + FRAME_LEN + (pick % meta.payload_len as usize)] ^= 0xaa;
-
-        let mut seq = Vec::new();
-        let mut par = Vec::new();
-        let seq_report = open(bytes.clone()).replay(&mut [&mut seq]).expect("replay");
-        let par_report = open(bytes).par_replay(&mut [&mut par]).expect("par_replay");
-        prop_assert_eq!(seq, par);
-        prop_assert_eq!(seq_report.skipped.len(), par_report.skipped.len());
-        prop_assert_eq!(seq_report.events, par_report.events);
-    }
-}
-
-#[test]
-fn replay_from_icount_starts_at_covering_block() {
-    let (bytes, flat) = pack(512, 5);
-    let total = flat.last().expect("events").0;
-    let target = total / 2;
-    let mut reader = open(bytes);
-    let block = reader.block_for_icount(target).expect("in range");
-    let first_seq = reader.index()[block].first_seq;
-    let mut got = Vec::new();
-    let report = reader
-        .replay_from_icount(target, &mut [&mut got])
-        .expect("icount replay");
-    assert!(report.is_clean());
-    assert_eq!(&got[..], &flat[first_seq as usize..]);
-    // The covering block's events reach past the target.
-    assert!(got.last().expect("events").0 >= target);
 }
 
 #[test]
@@ -374,7 +301,7 @@ fn compressed_store_round_trips_and_shrinks() {
     let (plain, flat) = pack(2048, 42);
     let (packed, flat_c) = pack_compressed(2048, 42);
     assert_eq!(flat, flat_c);
-    let mut reader = open(packed.clone());
+    let mut reader = open(packed);
     assert_eq!(reader.info().compression, Compression::Lz);
     assert!(
         reader.info().payload_bytes < open(plain).info().payload_bytes,
@@ -384,11 +311,6 @@ fn compressed_store_round_trips_and_shrinks() {
     let report = reader.replay(&mut [&mut got]).expect("replay");
     assert!(report.is_clean());
     assert_eq!(got, flat);
-    // Parallel decode composes with compression.
-    let mut par = Vec::new();
-    let report = open(packed).par_replay(&mut [&mut par]).expect("par");
-    assert!(report.is_clean());
-    assert_eq!(par, flat);
 }
 
 #[test]
@@ -399,17 +321,12 @@ fn batch_delivery_is_identical_to_per_event_delivery() {
         let mut per_event = Vec::new();
         let mut per_event_obs = |icount: u64, event: &TraceEvent| per_event.push((icount, *event));
         let mut batched = BatchCollect::default();
-        open(bytes.clone())
+        open(bytes)
             .replay(&mut [&mut per_event_obs, &mut batched])
             .expect("replay");
         assert_eq!(per_event, flat);
         assert_eq!(batched.events, flat);
         assert!(batched.batches > 3, "one batch per block");
-        let mut batched_par = BatchCollect::default();
-        open(bytes)
-            .par_replay(&mut [&mut batched_par])
-            .expect("par");
-        assert_eq!(batched_par.events, flat);
     }
 }
 
@@ -477,17 +394,6 @@ fn file_replay_matches_in_memory_replay() {
             .expect("file replay");
         assert!(report.is_clean());
         assert_eq!(got, flat);
-        let mut par = Vec::new();
-        open_file(&bytes)
-            .par_replay(&mut [&mut par])
-            .expect("file par");
-        assert_eq!(par, flat);
-        let mut seek = Vec::new();
-        let mid = (flat.len() / 2) as u64;
-        open_file(&bytes)
-            .replay_from_seq(mid, &mut [&mut seek])
-            .expect("file seek");
-        assert_eq!(&seek[..], &flat[mid as usize..]);
     }
 }
 
@@ -607,7 +513,7 @@ fn empty_stream_round_trips() {
 
 #[test]
 fn bad_blocks_in_a_verification_group_are_skipped_alone() {
-    // Sequential replay checksums blocks four at a time. A bad block in
+    // Replay checksums blocks four at a time. A bad block in
     // the middle of a group, and the last block of a trailing partial
     // group, must each be skipped alone while their group neighbours
     // are delivered, in block order.
@@ -649,29 +555,6 @@ fn bad_blocks_in_a_verification_group_are_skipped_alone() {
         }
         assert_eq!(report.blocks, index.len() as u64 - 2);
         assert_eq!(got, expected);
-
-        // Seeking into the middle of a block (groups then start at the
-        // seek block), a bad one included, delivers the same suffix.
-        for block in [4, 5, 6, 7, last - 1] {
-            let seq = index[block].first_seq + u64::from(index[block].events) / 2;
-            let mut tail = Vec::new();
-            let report = reader
-                .replay_from_seq(seq, &mut [&mut tail])
-                .expect("seek replay");
-            let suffix: Vec<_> = (seq as usize..flat.len())
-                .filter(|&i| kept(i))
-                .map(|i| flat[i])
-                .collect();
-            assert_eq!(tail, suffix, "from block {block}");
-            assert_eq!(
-                report.skipped.iter().map(|s| s.block).collect::<Vec<_>>(),
-                victims
-                    .iter()
-                    .filter(|&&v| v >= block)
-                    .map(|&v| v as u64)
-                    .collect::<Vec<_>>()
-            );
-        }
     }
 }
 
