@@ -85,9 +85,9 @@ pub struct IntervalBbvCollector {
 }
 
 impl IntervalBbvCollector {
-    /// Creates a collector for the program's block-size table.
+    /// Creates a collector as wide as the program's block table.
     pub fn new(program: &spm_ir::Program, boundaries: Boundaries) -> Self {
-        Self::with_builder(BbvBuilder::new(program.block_sizes()), boundaries)
+        Self::for_trace(program.block_sizes().len(), boundaries)
     }
 
     /// Creates a collector for a trace replayed without its program:
@@ -97,16 +97,12 @@ impl IntervalBbvCollector {
     /// and [`into_intervals`](Self::into_intervals) pads earlier
     /// intervals to the final width.
     pub fn for_trace(dims: usize, boundaries: Boundaries) -> Self {
-        Self::with_builder(BbvBuilder::for_trace(dims), boundaries)
-    }
-
-    fn with_builder(builder: BbvBuilder, boundaries: Boundaries) -> Self {
         let phase = match &boundaries {
             Boundaries::Fixed(_) => 0,
             Boundaries::Explicit { prelude_phase, .. } => *prelude_phase,
         };
         Self {
-            builder,
+            builder: BbvBuilder::new(dims),
             boundaries,
             next_cut: 0,
             begin: 0,
@@ -185,10 +181,7 @@ impl IntervalBbvCollector {
             TraceEvent::BlockExec { block, instrs, .. } => {
                 let block_start = icount - u64::from(instrs);
                 self.apply_boundaries(block_start);
-                // Sized form: identical to `note_block` when the
-                // builder was sized from the program, and learns the
-                // size in trace-only mode.
-                self.builder.note_block_sized(block, instrs);
+                self.builder.note_block(block, instrs);
                 self.last_icount = icount;
             }
             TraceEvent::Finish if !self.finished => {
@@ -328,17 +321,6 @@ mod tests {
             ivs[1].phase, 1,
             "first marker at the boundary names the phase"
         );
-    }
-
-    #[test]
-    fn trace_mode_matches_program_mode() {
-        let program = loop_program(100, 10);
-        let input = Input::new("x", 1);
-        let mut with_program = IntervalBbvCollector::new(&program, Boundaries::Fixed(300));
-        let mut trace_only =
-            IntervalBbvCollector::for_trace(program.block_sizes().len(), Boundaries::Fixed(300));
-        run(&program, &input, &mut [&mut with_program, &mut trace_only]).unwrap();
-        assert_eq!(with_program.into_intervals(), trace_only.into_intervals());
     }
 
     #[test]

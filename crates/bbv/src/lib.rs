@@ -27,10 +27,10 @@
 //! use spm_bbv::{project, BbvBuilder};
 //! use spm_ir::BlockId;
 //!
-//! let mut builder = BbvBuilder::new(&[10, 20]);
-//! builder.note_block(BlockId(0));
-//! builder.note_block(BlockId(1));
-//! builder.note_block(BlockId(1));
+//! let mut builder = BbvBuilder::new(2);
+//! builder.note_block(BlockId(0), 10);
+//! builder.note_block(BlockId(1), 20);
+//! builder.note_block(BlockId(1), 20);
 //! let bbv = builder.take();
 //! // counts * sizes = [10, 40], normalized to sum 1.
 //! assert_eq!(bbv, vec![0.2, 0.8]);

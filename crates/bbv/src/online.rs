@@ -92,11 +92,6 @@ impl OnlineClassifier {
         }
     }
 
-    /// Classifies a batch of interval vectors.
-    pub fn classify_all(&mut self, bbvs: &[Vec<f64>]) -> Vec<usize> {
-        bbvs.iter().map(|v| self.classify(v)).collect()
-    }
-
     /// How many intervals matched each phase so far.
     pub fn phase_counts(&self) -> Vec<u64> {
         self.signatures.iter().map(|(_, n)| *n).collect()

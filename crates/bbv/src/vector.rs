@@ -18,26 +18,12 @@ pub struct BbvBuilder {
 }
 
 impl BbvBuilder {
-    /// Creates a builder for a program whose blocks have the given
-    /// instruction sizes (see
-    /// [`Program::block_sizes`](spm_ir::Program::block_sizes)).
-    pub fn new(block_sizes: &[u32]) -> Self {
-        Self {
-            sizes: block_sizes.to_vec(),
-            counts: vec![0; block_sizes.len()],
-            touched: Vec::new(),
-            instrs: 0,
-        }
-    }
-
-    /// Creates a builder for a trace replayed without its program —
-    /// block sizes are learned from the `instrs` carried by each
-    /// `BlockExec` event (see [`note_block_sized`]). `dims` is the
-    /// static block-id space if known (e.g. an `spmstk01` footer's
-    /// `block_dims`); blocks beyond it grow the vector.
-    ///
-    /// [`note_block_sized`]: Self::note_block_sized
-    pub fn for_trace(dims: usize) -> Self {
+    /// Creates a builder over `dims` static blocks (a program's block
+    /// count, or an `spmstk01` footer's `block_dims`). Block sizes are
+    /// learned from the `instrs` carried by each event (see
+    /// [`note_block`](Self::note_block)), so no program is needed;
+    /// blocks beyond `dims` grow the vector.
+    pub fn new(dims: usize) -> Self {
         Self {
             sizes: vec![0; dims],
             counts: vec![0; dims],
@@ -56,26 +42,11 @@ impl BbvBuilder {
         self.instrs
     }
 
-    /// Records one execution of `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block id is out of range for this program.
-    pub fn note_block(&mut self, block: BlockId) {
-        let idx = block.index();
-        if self.counts[idx] == 0 {
-            self.touched.push(block.0);
-        }
-        self.counts[idx] += 1;
-        self.instrs += u64::from(self.sizes[idx]);
-    }
-
-    /// Records one execution of `block` whose instruction size arrives
-    /// with the event, as when replaying a trace without its program.
+    /// Records one execution of `block`, `instrs` instructions long.
     /// Out-of-range blocks grow the dimension space instead of
     /// panicking (callers comparing vectors should pad earlier ones to
     /// the final [`dims`](Self::dims)).
-    pub fn note_block_sized(&mut self, block: BlockId, instrs: u32) {
+    pub fn note_block(&mut self, block: BlockId, instrs: u32) {
         let idx = block.index();
         if idx >= self.sizes.len() {
             self.sizes.resize(idx + 1, 0);
@@ -116,18 +87,18 @@ mod tests {
 
     #[test]
     fn weighting_and_normalization() {
-        let mut b = BbvBuilder::new(&[10, 20, 5]);
-        b.note_block(BlockId(0));
-        b.note_block(BlockId(2));
-        b.note_block(BlockId(2));
+        let mut b = BbvBuilder::new(3);
+        b.note_block(BlockId(0), 10);
+        b.note_block(BlockId(2), 5);
+        b.note_block(BlockId(2), 5);
         // weights: 10, 0, 10 -> normalized 0.5, 0, 0.5
         assert_eq!(b.take(), vec![0.5, 0.0, 0.5]);
     }
 
     #[test]
     fn take_resets() {
-        let mut b = BbvBuilder::new(&[10]);
-        b.note_block(BlockId(0));
+        let mut b = BbvBuilder::new(1);
+        b.note_block(BlockId(0), 10);
         let _ = b.take();
         assert_eq!(b.instrs(), 0);
         assert_eq!(b.take(), vec![0.0], "empty interval is all zero");
@@ -139,9 +110,9 @@ mod tests {
             blocks in proptest::collection::vec(0usize..8, 0..100)
         ) {
             let sizes = [3u32, 5, 7, 11, 13, 17, 19, 23];
-            let mut b = BbvBuilder::new(&sizes);
+            let mut b = BbvBuilder::new(sizes.len());
             for &blk in &blocks {
-                b.note_block(BlockId(blk as u32));
+                b.note_block(BlockId(blk as u32), sizes[blk]);
             }
             let v = b.take();
             let sum: f64 = v.iter().sum();
@@ -159,19 +130,19 @@ mod tests {
             second in proptest::collection::vec(0usize..4, 1..50),
         ) {
             let sizes = [2u32, 3, 5, 7];
-            let mut reused = BbvBuilder::new(&sizes);
+            let mut reused = BbvBuilder::new(sizes.len());
             for &b in &first {
-                reused.note_block(BlockId(b as u32));
+                reused.note_block(BlockId(b as u32), sizes[b]);
             }
             let _ = reused.take();
             for &b in &second {
-                reused.note_block(BlockId(b as u32));
+                reused.note_block(BlockId(b as u32), sizes[b]);
             }
             let from_reused = reused.take();
 
-            let mut fresh = BbvBuilder::new(&sizes);
+            let mut fresh = BbvBuilder::new(sizes.len());
             for &b in &second {
-                fresh.note_block(BlockId(b as u32));
+                fresh.note_block(BlockId(b as u32), sizes[b]);
             }
             prop_assert_eq!(from_reused, fresh.take());
         }

@@ -1,10 +1,9 @@
-//! Shared simulation passes: profiling, metric timelines, marker
-//! detection, BBV collection, and the parallel cache-bank timeline used
-//! by the reconfiguration experiment.
+//! Shared simulation passes: profiling, metric timelines, and the
+//! parallel cache-bank timeline used by the reconfiguration experiment.
 
 use crate::GRANULE;
 use spm_cache::{reconfigurable_configs, CacheBank};
-use spm_core::{CallLoopGraph, CallLoopProfiler, MarkerFiring, MarkerRuntime, MarkerSet, SpmError};
+use spm_core::{CallLoopGraph, CallLoopProfiler, SpmError};
 use spm_ir::{Input, Program};
 use spm_sim::{run, Timeline, TraceEvent, TraceObserver};
 
@@ -30,33 +29,6 @@ pub fn timeline(program: &Program, input: &Input) -> Result<(Timeline, u64), Spm
     let mut t = Timeline::with_defaults(GRANULE);
     let summary = run(program, input, &mut [&mut t])?;
     Ok((t, summary.instrs))
-}
-
-/// Detects marker firings for several marker sets in a single pass;
-/// returns one firing list per set plus the total instruction count.
-///
-/// # Errors
-///
-/// Propagates engine failures as [`SpmError::Run`].
-pub fn detect_all(
-    program: &Program,
-    input: &Input,
-    marker_sets: &[&MarkerSet],
-) -> Result<(Vec<Vec<MarkerFiring>>, u64), SpmError> {
-    let mut runtimes: Vec<MarkerRuntime> =
-        marker_sets.iter().map(|m| MarkerRuntime::new(m)).collect();
-    let mut observers: Vec<&mut dyn TraceObserver> = runtimes
-        .iter_mut()
-        .map(|r| r as &mut dyn TraceObserver)
-        .collect();
-    let summary = run(program, input, &mut observers)?;
-    Ok((
-        runtimes
-            .into_iter()
-            .map(MarkerRuntime::into_firings)
-            .collect(),
-        summary.instrs,
-    ))
 }
 
 /// Per-granule miss/access counts for every reconfigurable cache
@@ -158,6 +130,7 @@ impl TraceObserver for BankTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spm_core::MarkerRuntime;
     use spm_ir::{ProgramBuilder, Trip};
 
     fn toy() -> (Program, Input) {
@@ -182,9 +155,10 @@ mod tests {
         let graph = profile(&program, &input).unwrap();
         assert!(!graph.edges().is_empty());
         let outcome = spm_core::select_markers(&graph, &spm_core::SelectConfig::new(500));
-        let (firings, total) = detect_all(&program, &input, &[&outcome.markers]).unwrap();
+        let mut runtime = MarkerRuntime::new(&outcome.markers);
+        let total = run(&program, &input, &mut [&mut runtime]).unwrap().instrs;
         assert_eq!(total, 100_000);
-        assert!(!firings[0].is_empty());
+        assert!(!runtime.into_firings().is_empty());
     }
 
     #[test]

@@ -39,13 +39,14 @@
 //! `pack` (or its alias `record`) runs a workload once and writes its
 //! event stream into a block-based `spmstk01` container, the one
 //! on-disk trace format; `info` prints its index summary and `replay`
-//! drives the timing model from it. `select`, `partition`, and
-//! `simpoint` accept a store anywhere a workload is accepted — via
-//! `--store FILE` or simply by passing a `.spmstk` file (detected by
-//! extension or magic) — and run the same analyses off the container
-//! with bounded memory, decoding one block at a time. A corrupted block
+//! drives the timing model from it. `select`, `partition`, `simpoint`
+//! and `send` accept a store anywhere a workload is accepted — via
+//! `--store FILE` or a `.spmstk` file (detected by extension or magic)
+//! — and one resolver ([`trace::Trace`]) feeds either source to the same
+//! analysis code, decoding a store one block at a time. A corrupted block
 //! degrades to a structured `store/skipped-block` warning instead of
-//! failing the run.
+//! failing the run. The commands that need the program itself take
+//! workloads only, and give a store a usage error.
 //!
 //! # Run corpus
 //!
@@ -130,19 +131,19 @@
 mod args;
 mod plot;
 mod serve_cli;
+mod trace;
 
 use args::{parse, ArgError, ParsedArgs};
 use spm_core::predict::{DurationPredictor, MarkovPredictor, PhasePredictor};
-use spm_core::text::{graph_to_dot, parse_markers, write_graph, write_markers};
+use spm_core::text::{graph_to_dot, write_graph, write_markers};
 use spm_core::{
-    partition_with_fallback, select_markers, CallLoopProfiler, MarkerFiring, MarkerRuntime,
-    MarkerSet, SelectConfig, SpmError, Vli,
+    partition_with_fallback, select_markers, MarkerFiring, MarkerRuntime, SelectConfig, SpmError,
+    Vli,
 };
-use spm_ir::{parse_workload, DslError, Input, Program};
 use spm_sim::{run, Timeline, TraceObserver};
-use spm_store::{StoreError, StoreReader, StoreWriter};
-use spm_workloads::{build, ALL_NAMES};
+use spm_store::StoreWriter;
 use std::process::ExitCode;
+use trace::{open_store, read_markers, store_error, store_replay, MarkerSource, Trace};
 
 /// What a subcommand can fail with: a usage mistake (exit 2, usage text
 /// on stderr) or a typed pipeline error (its own exit code).
@@ -218,9 +219,9 @@ fn main() -> ExitCode {
         match parsed.command.as_str() {
             "list" => cmd_list(),
             "profile" => cmd_profile(&parsed),
-            "select" => cmd_select(&parsed),
-            "partition" => cmd_partition(&parsed),
-            "simpoint" => cmd_simpoint(&parsed),
+            "select" => run_batch(&parsed, select_one),
+            "partition" => run_batch(&parsed, partition_one),
+            "simpoint" => run_batch(&parsed, simpoint_one),
             "predict" => cmd_predict(&parsed),
             "structure" => cmd_structure(&parsed),
             "explain" => cmd_explain(&parsed),
@@ -469,92 +470,6 @@ EXIT CODES:
   11 transient I/O errors that outlasted the store retry budget
 ";
 
-/// A resolved analysis target: a built-in workload, or a workload file
-/// in the text DSL (any positional argument naming a readable file).
-struct Target {
-    program: Program,
-    inputs: Vec<Input>,
-}
-
-fn workload(parsed: &ParsedArgs) -> Result<Target, CliError> {
-    target(parsed.positional("workload")?)
-}
-
-fn target(name: &str) -> Result<Target, CliError> {
-    if std::path::Path::new(name).is_file() {
-        let src = std::fs::read_to_string(name).map_err(|e| SpmError::Io {
-            path: name.to_string(),
-            message: e.to_string(),
-        })?;
-        let parsed_file = parse_workload(&src).map_err(|e| SpmError::Workload {
-            source: name.to_string(),
-            error: e,
-        })?;
-        if parsed_file.inputs.is_empty() {
-            return Err(SpmError::Workload {
-                source: name.to_string(),
-                error: DslError {
-                    line: 0,
-                    message: "the workload file declares no `input` blocks".into(),
-                },
-            }
-            .into());
-        }
-        return Ok(Target {
-            program: parsed_file.program,
-            inputs: parsed_file.inputs,
-        });
-    }
-    let w = build(name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown workload `{name}` (and no such file); available: {}",
-            ALL_NAMES.join(", ")
-        ))
-    })?;
-    Ok(Target {
-        program: w.program,
-        inputs: vec![w.train_input, w.ref_input],
-    })
-}
-
-fn input_of(w: &Target, parsed: &ParsedArgs, default: &str) -> Result<Input, CliError> {
-    let wanted = parsed.str_flag("input", default);
-    // Fall back to the first declared input when the conventional name
-    // is absent (single-input workload files).
-    let base = w
-        .inputs
-        .iter()
-        .find(|i| i.name() == wanted)
-        .or_else(|| {
-            if parsed.flags.contains_key("input") {
-                None
-            } else {
-                w.inputs.first()
-            }
-        })
-        .ok_or_else(|| {
-            let names: Vec<&str> = w.inputs.iter().map(|i| i.name()).collect();
-            CliError::Usage(format!(
-                "no input named `{wanted}`; declared inputs: {}",
-                names.join(", ")
-            ))
-        })?;
-    // Apply `--param key=value,key=value` overrides.
-    let mut input = base.clone();
-    if let Some(spec) = parsed.flags.get("param") {
-        for pair in spec.split(',') {
-            let (key, value) = pair.split_once('=').ok_or_else(|| {
-                CliError::Usage(format!("--param expects key=value, got `{pair}`"))
-            })?;
-            let value: u64 = value
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--param {key}: bad value `{value}`")))?;
-            input = input.with(key, value);
-        }
-    }
-    Ok(input)
-}
-
 fn select_config(parsed: &ParsedArgs) -> Result<SelectConfig, ArgError> {
     let ilower = parsed.u64_flag("ilower", 10_000)?;
     let mut config = match parsed.u64_flag("limit", 0)? {
@@ -567,88 +482,76 @@ fn select_config(parsed: &ParsedArgs) -> Result<SelectConfig, ArgError> {
     Ok(config)
 }
 
-fn profile_graph(w: &Target, input: &Input) -> Result<spm_core::CallLoopGraph, SpmError> {
-    let mut profiler = CallLoopProfiler::new();
-    run(&w.program, input, &mut [&mut profiler]).map_err(SpmError::Run)?;
-    profiler.into_graph().map_err(SpmError::Profile)
+/// One marked pass over a trace: its markers, where they fired, and the
+/// instruction total.
+struct MarkedRun {
+    source: MarkerSource,
+    firings: Vec<MarkerFiring>,
+    total: u64,
 }
 
-/// Markers for the partitioning commands, plus whether selection saw
-/// only degenerate (non-finite) CoV — which forces the fixed-length
-/// fallback. Markers loaded from a file are trusted as-is.
-struct MarkerSource {
-    markers: MarkerSet,
-    degenerate_cov: bool,
-}
-
-fn load_or_select_markers(w: &Target, parsed: &ParsedArgs) -> Result<MarkerSource, CliError> {
-    if let Some(path) = parsed.flags.get("markers") {
-        let text = std::fs::read_to_string(path).map_err(|e| SpmError::Io {
-            path: path.clone(),
-            message: e.to_string(),
-        })?;
-        let markers = parse_markers(&text).map_err(|e| SpmError::Parse {
-            source: path.clone(),
-            error: e,
-        })?;
-        return Ok(MarkerSource {
-            markers,
-            degenerate_cov: false,
-        });
-    }
-    let train = w
-        .inputs
-        .iter()
-        .find(|i| i.name() == "train")
-        .or_else(|| w.inputs.first())
-        .ok_or_else(|| CliError::Usage("workload has no inputs".into()))?;
-    let graph = profile_graph(w, train)?;
-    let config = select_config(parsed)?;
-    let outcome = select_markers(&graph, &config);
-    Ok(MarkerSource {
-        markers: outcome.markers,
-        degenerate_cov: outcome.degenerate_cov,
+/// Resolves the markers (`--markers FILE` or selection, see
+/// [`Trace::markers`]) and delivers the trace to a [`MarkerRuntime`],
+/// with `timeline` riding the same pass when a command reports timing.
+fn marked_run(
+    trace: &mut Trace,
+    parsed: &ParsedArgs,
+    timeline: Option<&mut Timeline>,
+    err: &mut String,
+) -> Result<MarkedRun, CliError> {
+    let source = trace.markers(parsed, err)?;
+    let mut runtime = MarkerRuntime::new(&source.markers);
+    let total = {
+        let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut runtime];
+        observers.extend(timeline.map(|t| t as &mut dyn TraceObserver));
+        trace.feed(&mut observers, err)?
+    };
+    let firings = runtime.into_firings();
+    Ok(MarkedRun {
+        source,
+        firings,
+        total,
     })
 }
 
-/// Partitions with graceful degradation, announcing any fixed-length
-/// fallback in a machine-readable form appended to `err`. The
-/// `workload` field keys the dedupe per workload, so a batch run warns
-/// once per degraded workload regardless of the worker count.
-fn partition_checked(
-    source: &MarkerSource,
-    firings: &[MarkerFiring],
-    total: u64,
-    ilower: u64,
-    workload_name: &str,
-    err: &mut String,
-) -> Vec<Vli> {
-    let outcome = partition_with_fallback(
-        &source.markers,
-        firings,
-        total,
-        ilower,
-        source.degenerate_cov,
-    );
-    if let Some(fb) = &outcome.fallback {
-        // The structured event carries the same facts as the stderr
-        // line; its dedupe return keeps both channels in sync.
-        let fresh = spm_obs::warning(
-            "fallback/fixed-length",
-            &[
-                ("reason", fb.reason.to_string().into()),
-                ("interval", fb.interval.into()),
-                ("workload", workload_name.to_string().into()),
-            ],
+impl MarkedRun {
+    /// Partitions at `--ilower` with graceful degradation, announcing
+    /// any fixed-length fallback in a machine-readable form appended to
+    /// `err`. The `workload` field keys the dedupe per workload, so a
+    /// batch run warns once per degraded workload regardless of the
+    /// worker count.
+    fn partition(
+        &self,
+        parsed: &ParsedArgs,
+        workload_name: &str,
+        err: &mut String,
+    ) -> Result<Vec<Vli>, CliError> {
+        let outcome = partition_with_fallback(
+            &self.source.markers,
+            &self.firings,
+            self.total,
+            parsed.u64_flag("ilower", 10_000)?,
+            self.source.degenerate_cov,
         );
-        if fresh {
-            err.push_str(&format!(
-                "warning: fallback=fixed-length reason={} interval={} workload={}\n",
-                fb.reason, fb.interval, workload_name
-            ));
+        if let Some(fb) = &outcome.fallback {
+            // The structured event carries the same facts as the stderr
+            // line; its dedupe return keeps both channels in sync.
+            if spm_obs::warning(
+                "fallback/fixed-length",
+                &[
+                    ("reason", fb.reason.to_string().into()),
+                    ("interval", fb.interval.into()),
+                    ("workload", workload_name.to_string().into()),
+                ],
+            ) {
+                err.push_str(&format!(
+                    "warning: fallback=fixed-length reason={} interval={} workload={}\n",
+                    fb.reason, fb.interval, workload_name
+                ));
+            }
         }
+        Ok(outcome.vlis)
     }
-    outcome.vlis
 }
 
 /// Buffered stdout/stderr of one batch unit, printed in argument order.
@@ -657,141 +560,43 @@ struct CommandOutput {
     err: String,
 }
 
-/// Whether `name` is an `spmstk01` store file: by extension, or by
-/// sniffing the magic when the file exists.
-fn is_store_file(name: &str) -> bool {
-    let path = std::path::Path::new(name);
-    if !path.is_file() {
-        return false;
-    }
-    if path.extension().is_some_and(|e| e == "spmstk") {
-        return true;
-    }
-    let mut magic = [0u8; 6];
-    std::fs::File::open(path)
-        .and_then(|mut f| std::io::Read::read_exact(&mut f, &mut magic))
-        .map(|()| &magic == spm_store::format::MAGIC_PREFIX)
-        .unwrap_or(false)
-}
-
-/// Maps a store failure into the pipeline taxonomy: I/O keeps exit 3,
-/// structural corruption joins the trace-decode class (exit 8), and
-/// an exhausted retry budget gets its own class (exit 11).
-fn store_error(path: &str, e: StoreError) -> CliError {
-    match e {
-        StoreError::Io { message } => SpmError::Io {
-            path: path.to_string(),
-            message,
-        },
-        StoreError::Corrupt { error, .. } => SpmError::Trace {
-            source: path.to_string(),
-            error,
-        },
-        StoreError::Exhausted { attempts, message } => SpmError::Exhausted {
-            path: path.to_string(),
-            attempts,
-            message,
-        },
-    }
-    .into()
-}
-
-/// Opens a store, surfacing crash recovery: when the footer or index
-/// was unreadable and the reader rebuilt the index by walking block
-/// frames, a deduped `store/recovered` warning with the recovered
-/// watermarks goes to the structured stream, and one machine-readable
-/// line is appended to `err` (so batch workers warn once, byte-stable
-/// at any `--jobs`).
-fn open_store(path: &str, err: &mut String) -> Result<StoreReader, CliError> {
-    let reader = StoreReader::open(std::path::Path::new(path)).map_err(|e| store_error(path, e))?;
-    let info = *reader.info();
-    if info.recovered_index {
-        let fresh = spm_obs::warning(
-            "store/recovered",
-            &[
-                ("store", path.to_string().into()),
-                ("blocks", info.blocks.into()),
-                ("events", info.events.into()),
-                ("icount", info.total_icount.into()),
-                ("tail_bytes", info.recovered_tail_bytes.into()),
-            ],
-        );
-        if fresh {
-            err.push_str(&format!(
-                "warning: store=recovered blocks={} events={} icount={} tail_bytes={} store={}\n",
-                info.blocks, info.events, info.total_icount, info.recovered_tail_bytes, path
-            ));
-        }
-    }
-    Ok(reader)
-}
-
-/// Replays a store into the observers, degrading corrupt blocks to a
-/// single deduped warning line appended to `err`.
-fn store_replay(
-    reader: &mut StoreReader,
-    observers: &mut [&mut dyn TraceObserver],
-    name: &str,
-    err: &mut String,
-) -> Result<spm_store::StoreReplayReport, CliError> {
-    let report = reader.replay(observers).map_err(|e| store_error(name, e))?;
-    if !report.is_clean() {
-        // Per-block facts already went out as `store/skipped-block`
-        // events; this summary keys the stderr line and is deduped per
-        // store, so batch workers warn once regardless of jobs.
-        let fresh = spm_obs::warning(
-            "store/degraded",
-            &[
-                ("store", name.to_string().into()),
-                ("skipped_blocks", (report.skipped.len() as u64).into()),
-                ("skipped_events", report.skipped_events().into()),
-            ],
-        );
-        if fresh {
-            err.push_str(&format!(
-                "warning: store=degraded skipped_blocks={} skipped_events={} store={}\n",
-                report.skipped.len(),
-                report.skipped_events(),
-                name
-            ));
-        }
-    }
-    Ok(report)
-}
-
-/// Profiles the call-loop graph from a store replay. Lenient mode: a
-/// replay that skipped blocks has lost opens/closes, which must degrade
-/// (counted, warned) rather than poison the graph.
-fn store_graph(
-    reader: &mut StoreReader,
-    name: &str,
-    err: &mut String,
-) -> Result<spm_core::CallLoopGraph, CliError> {
-    let mut profiler = CallLoopProfiler::lenient();
-    {
-        let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut profiler];
-        store_replay(reader, &mut observers, name, err)?;
-    }
-    Ok(profiler.into_graph().map_err(SpmError::Profile)?)
-}
-
-/// Runs a per-workload command over every positional argument, fanning
-/// out across the worker pool (`--jobs`). Buffered outputs are emitted
-/// in argument order — bytes are identical at any worker count — with a
-/// `# workload: NAME` header when more than one workload was given.
+/// Runs a per-workload command over every positional argument, and a
+/// `--store FILE` value after them, under `# workload: NAME` headers
+/// (see [`run_units`]).
 fn run_batch(
     parsed: &ParsedArgs,
     one: impl Fn(&ParsedArgs, &str) -> Result<CommandOutput, CliError> + Sync,
 ) -> Result<(), CliError> {
+    let mut parsed = parsed.clone();
+    if let Some(path) = parsed.flags.remove("store") {
+        parsed.positional.push(path);
+    }
     if parsed.positional.is_empty() {
         return Err(ArgError::MissingPositional("workload").into());
     }
-    let names = parsed.positional.clone();
-    let outputs = spm_par::try_par_map(&names, |name| one(parsed, name))?;
-    let many = names.len() > 1;
-    for (name, output) in names.iter().zip(outputs) {
+    run_units(
+        "workload",
+        &parsed.positional,
+        |name| name,
+        |name| one(&parsed, name),
+    )
+}
+
+/// Runs `one` over every unit, fanning out across the worker pool
+/// (`--jobs`). Buffered outputs are emitted in unit order — bytes are
+/// identical at any worker count — each under a `# LABEL: KEY` header
+/// when there is more than one unit.
+fn run_units<T: Sync>(
+    label: &str,
+    units: &[T],
+    key: impl Fn(&T) -> &str,
+    one: impl Fn(&T) -> Result<CommandOutput, CliError> + Sync,
+) -> Result<(), CliError> {
+    let outputs = spm_par::try_par_map(units, one)?;
+    let many = units.len() > 1;
+    for (unit, output) in units.iter().zip(outputs) {
         if many {
-            println!("# workload: {name}");
+            println!("# {label}: {}", key(unit));
         }
         print!("{}", output.out);
         eprint!("{}", output.err);
@@ -817,26 +622,12 @@ fn cmd_list() -> Result<(), CliError> {
 }
 
 fn cmd_profile(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let w = workload(parsed)?;
-    let input = input_of(&w, parsed, "ref")?;
-    let graph = profile_graph(&w, &input)?;
+    let graph = Trace::workload(parsed, "ref")?.graph(&mut String::new())?;
     if parsed.has("dot") {
         let markers = parsed
             .flags
             .get("markers")
-            .map(|path| -> Result<_, CliError> {
-                let text = std::fs::read_to_string(path).map_err(|e| SpmError::Io {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
-                parse_markers(&text).map_err(|e| {
-                    SpmError::Parse {
-                        source: path.clone(),
-                        error: e,
-                    }
-                    .into()
-                })
-            })
+            .map(|path| read_markers(path))
             .transpose()?;
         print!("{}", graph_to_dot(&graph, markers.as_ref()));
     } else {
@@ -859,32 +650,10 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Moves a `--store FILE` value into the positional list, so the batch
-/// machinery (and per-name store detection) handles it uniformly.
-fn with_store_positional(parsed: &ParsedArgs) -> ParsedArgs {
-    let mut p = parsed.clone();
-    if let Some(path) = p.flags.remove("store") {
-        p.positional.push(path);
-    }
-    p
-}
-
-fn cmd_select(parsed: &ParsedArgs) -> Result<(), CliError> {
-    run_batch(&with_store_positional(parsed), select_one)
-}
-
 fn select_one(parsed: &ParsedArgs, name: &str) -> Result<CommandOutput, CliError> {
     let mut err = String::new();
-    let graph = if is_store_file(name) {
-        let mut reader = open_store(name, &mut err)?;
-        store_graph(&mut reader, name, &mut err)?
-    } else {
-        let w = target(name)?;
-        let input = input_of(&w, parsed, "train")?;
-        profile_graph(&w, &input)?
-    };
-    let config = select_config(parsed)?;
-    let outcome = select_markers(&graph, &config);
+    let graph = Trace::open(name, parsed, "train", &mut err)?.graph(&mut err)?;
+    let outcome = select_markers(&graph, &select_config(parsed)?);
     err.push_str(&format!(
         "# {} markers from {} candidates (avg CoV {:.2}%, threshold spread {:.2}%)\n",
         outcome.markers.len(),
@@ -906,72 +675,19 @@ fn select_one(parsed: &ParsedArgs, name: &str) -> Result<CommandOutput, CliError
     })
 }
 
-fn cmd_partition(parsed: &ParsedArgs) -> Result<(), CliError> {
-    run_batch(&with_store_positional(parsed), partition_one)
-}
-
+/// `partition` of one workload or store: markers from `--markers FILE`
+/// or selected on the spot (see [`Trace::markers`]), then one marked
+/// pass with the timing timeline.
 fn partition_one(parsed: &ParsedArgs, name: &str) -> Result<CommandOutput, CliError> {
-    if is_store_file(name) {
-        return partition_one_store(parsed, name);
-    }
-    let w = target(name)?;
-    let source = load_or_select_markers(&w, parsed)?;
-    let input = input_of(&w, parsed, "ref")?;
-    let ilower = parsed.u64_flag("ilower", 10_000)?;
-    let mut runtime = MarkerRuntime::new(&source.markers);
-    let mut timeline = Timeline::with_defaults(1_000);
-    let total = {
-        let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut runtime, &mut timeline];
-        run(&w.program, &input, &mut observers)
-            .map_err(SpmError::Run)?
-            .instrs
-    };
     let mut err = String::new();
-    let vlis = partition_checked(&source, &runtime.firings(), total, ilower, name, &mut err);
+    let mut trace = Trace::open(name, parsed, "ref", &mut err)?;
+    let mut timeline = Timeline::with_defaults(1_000);
+    let vlis = marked_run(&mut trace, parsed, Some(&mut timeline), &mut err)?
+        .partition(parsed, name, &mut err)?;
     Ok(render_partition(&vlis, &timeline, err))
 }
 
-/// `partition` off a store: markers come from `--markers FILE`, or are
-/// selected from the stored trace itself (the store holds one run, so
-/// it doubles as the profile). A second replay partitions it.
-fn partition_one_store(parsed: &ParsedArgs, name: &str) -> Result<CommandOutput, CliError> {
-    let mut err = String::new();
-    let mut reader = open_store(name, &mut err)?;
-    let source = if let Some(path) = parsed.flags.get("markers") {
-        let text = std::fs::read_to_string(path).map_err(|e| SpmError::Io {
-            path: path.clone(),
-            message: e.to_string(),
-        })?;
-        let markers = parse_markers(&text).map_err(|e| SpmError::Parse {
-            source: path.clone(),
-            error: e,
-        })?;
-        MarkerSource {
-            markers,
-            degenerate_cov: false,
-        }
-    } else {
-        let graph = store_graph(&mut reader, name, &mut err)?;
-        let outcome = select_markers(&graph, &select_config(parsed)?);
-        MarkerSource {
-            markers: outcome.markers,
-            degenerate_cov: outcome.degenerate_cov,
-        }
-    };
-    let ilower = parsed.u64_flag("ilower", 10_000)?;
-    let mut runtime = MarkerRuntime::new(&source.markers);
-    let mut timeline = Timeline::with_defaults(1_000);
-    {
-        let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut runtime, &mut timeline];
-        store_replay(&mut reader, &mut observers, name, &mut err)?;
-    }
-    let total = reader.info().total_icount;
-    let vlis = partition_checked(&source, &runtime.firings(), total, ilower, name, &mut err);
-    Ok(render_partition(&vlis, &timeline, err))
-}
-
-/// Shared tail of the flat and store partition paths, so both render
-/// byte-identical tables.
+/// Renders the partition table (stdout) and its summary (stderr).
 fn render_partition(vlis: &[Vli], timeline: &Timeline, mut err: String) -> CommandOutput {
     let mut out = String::from("begin\tend\tphase\tcpi\tdl1_miss\n");
     for v in vlis {
@@ -1003,34 +719,19 @@ fn render_partition(vlis: &[Vli], timeline: &Timeline, mut err: String) -> Comma
 /// so `spm simpoint` agrees with the committed figures).
 const SIMPOINT_SEED: u64 = 0x5051_2006;
 
-fn cmd_simpoint(parsed: &ParsedArgs) -> Result<(), CliError> {
-    run_batch(&with_store_positional(parsed), simpoint_one)
-}
-
 fn simpoint_one(parsed: &ParsedArgs, name: &str) -> Result<CommandOutput, CliError> {
     let interval = parsed.u64_flag("interval", 10_000)?.max(1);
     let kmax = (parsed.u64_flag("kmax", 10)?.max(1)) as usize;
     let mut err = String::new();
-    let intervals = if is_store_file(name) {
-        let mut reader = open_store(name, &mut err)?;
-        // Trace-only mode: BBV width comes from the footer's recorded
-        // block-id space (growing if the footer predates the program).
-        let dims = reader.info().block_dims as usize;
-        let mut collector =
-            spm_bbv::IntervalBbvCollector::for_trace(dims, spm_bbv::Boundaries::Fixed(interval));
-        {
-            let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut collector];
-            store_replay(&mut reader, &mut observers, name, &mut err)?;
-        }
-        collector.into_intervals()
-    } else {
-        let w = target(name)?;
-        let input = input_of(&w, parsed, "ref")?;
-        let mut collector =
-            spm_bbv::IntervalBbvCollector::new(&w.program, spm_bbv::Boundaries::Fixed(interval));
-        run(&w.program, &input, &mut [&mut collector]).map_err(SpmError::Run)?;
-        collector.into_intervals()
-    };
+    let mut trace = Trace::open(name, parsed, "ref", &mut err)?;
+    // Block sizes are learned from the events, so a store needs no
+    // program; a footer that predates the program grows the width.
+    let mut collector = spm_bbv::IntervalBbvCollector::for_trace(
+        trace.block_dims(),
+        spm_bbv::Boundaries::Fixed(interval),
+    );
+    trace.feed(&mut [&mut collector], &mut err)?;
+    let intervals = collector.into_intervals();
     let vectors: Vec<Vec<f64>> = intervals.iter().map(|iv| iv.bbv.clone()).collect();
     let weights: Vec<f64> = intervals.iter().map(|iv| iv.len() as f64).collect();
     let dims = 15.min(vectors.first().map_or(1, Vec::len).max(1));
@@ -1065,20 +766,23 @@ fn indent(text: &str) -> String {
     text.lines().map(|l| format!("#   {l}\n")).collect()
 }
 
-fn cmd_predict(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let name = parsed.positional("workload")?.to_string();
-    let w = workload(parsed)?;
-    let source = load_or_select_markers(&w, parsed)?;
-    let input = input_of(&w, parsed, "ref")?;
-    let ilower = parsed.u64_flag("ilower", 10_000)?;
-    let mut runtime = MarkerRuntime::new(&source.markers);
-    let total = run(&w.program, &input, &mut [&mut runtime])
-        .map_err(SpmError::Run)?
-        .instrs;
+/// The partition behind `predict` and `structure`: the workload's
+/// `--input` (default `ref`) marked and partitioned, with any fallback
+/// warning printed to stderr.
+fn workload_partition(parsed: &ParsedArgs) -> Result<(Trace, Vec<Vli>), CliError> {
+    let mut trace = Trace::workload(parsed, "ref")?;
     let mut warn = String::new();
-    let vlis = partition_checked(&source, &runtime.firings(), total, ilower, &name, &mut warn);
+    let vlis = marked_run(&mut trace, parsed, None, &mut warn)?.partition(
+        parsed,
+        parsed.positional("workload")?,
+        &mut warn,
+    )?;
     eprint!("{warn}");
+    Ok((trace, vlis))
+}
 
+fn cmd_predict(parsed: &ParsedArgs) -> Result<(), CliError> {
+    let (trace, vlis) = workload_partition(parsed)?;
     let order = parsed.u64_flag("order", 1)? as usize;
     let mut markov = MarkovPredictor::new(order);
     let mut last = spm_core::predict::LastPhasePredictor::new();
@@ -1088,7 +792,11 @@ fn cmd_predict(parsed: &ParsedArgs) -> Result<(), CliError> {
         last.observe(v.phase);
         durations.observe(v.phase, v.len());
     }
-    println!("workload: {} ({} intervals)", w.program.name(), vlis.len());
+    println!(
+        "workload: {} ({} intervals)",
+        trace.program_name(),
+        vlis.len()
+    );
     println!("  last-phase accuracy:  {:.1}%", last.accuracy() * 100.0);
     println!(
         "  markov({order}) accuracy:   {:.1}% ({} table entries)",
@@ -1111,22 +819,11 @@ fn cmd_predict(parsed: &ParsedArgs) -> Result<(), CliError> {
 }
 
 fn cmd_structure(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let name = parsed.positional("workload")?.to_string();
-    let w = workload(parsed)?;
-    let source = load_or_select_markers(&w, parsed)?;
-    let input = input_of(&w, parsed, "ref")?;
-    let ilower = parsed.u64_flag("ilower", 10_000)?;
-    let mut runtime = MarkerRuntime::new(&source.markers);
-    let total = run(&w.program, &input, &mut [&mut runtime])
-        .map_err(SpmError::Run)?
-        .instrs;
-    let mut warn = String::new();
-    let vlis = partition_checked(&source, &runtime.firings(), total, ilower, &name, &mut warn);
-    eprint!("{warn}");
+    let (trace, vlis) = workload_partition(parsed)?;
     let hierarchy = spm_reuse::phase_hierarchy(&vlis);
     println!(
         "workload: {} ({} intervals, compression {:.2})",
-        w.program.name(),
+        trace.program_name(),
         vlis.len(),
         hierarchy.compression_ratio
     );
@@ -1179,11 +876,10 @@ fn cmd_replay(parsed: &ParsedArgs) -> Result<(), CliError> {
 /// the writer.
 fn pack_feed<S: spm_store::StoreIo>(
     writer: &mut StoreWriter<S>,
-    w: &Target,
-    input: &Input,
+    trace: &mut Trace,
 ) -> Result<(), CliError> {
-    writer.set_block_dims(w.program.block_sizes().len() as u32);
-    run(&w.program, input, &mut [&mut *writer]).map_err(SpmError::Run)?;
+    writer.set_block_dims(trace.block_dims() as u32);
+    trace.feed(&mut [&mut *writer], &mut String::new())?;
     Ok(())
 }
 
@@ -1203,7 +899,7 @@ fn pack_summary_line(out: &str, summary: &spm_store::StoreSummary) -> String {
 }
 
 fn cmd_pack(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let name = parsed.positional("workload")?;
+    parsed.positional("workload")?;
     let out = parsed
         .flags
         .get("out")
@@ -1224,15 +920,14 @@ fn cmd_pack(parsed: &ParsedArgs) -> Result<(), CliError> {
     };
     // Resolve the workload before `--out` is touched, so a bad name or
     // input leaves an existing file there as it was.
-    let w = target(name)?;
-    let input = input_of(&w, parsed, "ref")?;
+    let mut trace = Trace::workload(parsed, "ref")?;
 
     // Failpoint hook (DESIGN.md §12): SPM_PACK_FAULT routes the pack
     // through the deterministic FaultyIo disk so crash-recovery tests
     // exercise the real CLI end to end. The surviving (possibly torn)
     // image is written to --out, exactly what a killed process leaves.
     if let Ok(spec) = std::env::var("SPM_PACK_FAULT") {
-        return pack_through_failpoint(&w, &input, &out, budget, sync, compression, &spec);
+        return pack_through_failpoint(&mut trace, &out, budget, sync, compression, &spec);
     }
 
     let sink = spm_store::FileIo::create(std::path::Path::new(&out)).map_err(|e| SpmError::Io {
@@ -1242,7 +937,7 @@ fn cmd_pack(parsed: &ParsedArgs) -> Result<(), CliError> {
     let mut writer = StoreWriter::with_block_budget(sink, budget)
         .sync_policy(sync)
         .compression(compression);
-    pack_feed(&mut writer, &w, &input)?;
+    pack_feed(&mut writer, &mut trace)?;
     let summary = writer.finish().map_err(|e| store_error(&out, e))?;
     eprintln!("{}", pack_summary_line(&out, &summary));
     Ok(())
@@ -1250,8 +945,7 @@ fn cmd_pack(parsed: &ParsedArgs) -> Result<(), CliError> {
 
 /// `cmd_pack` through a [`spm_store::FaultyIo`] failpoint disk.
 fn pack_through_failpoint(
-    w: &Target,
-    input: &Input,
+    trace: &mut Trace,
     out: &str,
     budget: usize,
     sync: spm_store::SyncPolicy,
@@ -1263,7 +957,7 @@ fn pack_through_failpoint(
     let mut writer = StoreWriter::with_block_budget(spm_store::FaultyIo::new(plan), budget)
         .sync_policy(sync)
         .compression(compression);
-    let feed = pack_feed(&mut writer, w, input);
+    let feed = pack_feed(&mut writer, trace);
     let outcome = writer.finish_with_sink();
     // Persist whatever survived — torn tail included — so downstream
     // commands open the same bytes a real crash would leave.
@@ -1332,9 +1026,7 @@ fn cmd_info(parsed: &ParsedArgs) -> Result<(), CliError> {
 }
 
 fn cmd_explain(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let w = workload(parsed)?;
-    let input = input_of(&w, parsed, "train")?;
-    let graph = profile_graph(&w, &input)?;
+    let graph = Trace::workload(parsed, "train")?.graph(&mut String::new())?;
     let config = select_config(parsed)?;
     let outcome = select_markers(&graph, &config);
     println!(
@@ -1370,21 +1062,11 @@ fn cmd_explain(parsed: &ParsedArgs) -> Result<(), CliError> {
 }
 
 fn cmd_timeseries(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let w = workload(parsed)?;
-    let input = input_of(&w, parsed, "ref")?;
+    let mut trace = Trace::workload(parsed, "ref")?;
     let step = parsed.u64_flag("step", 10_000)?.max(1);
-    let source = load_or_select_markers(&w, parsed)?;
-
-    let mut runtime = MarkerRuntime::new(&source.markers);
     let mut timeline = Timeline::with_defaults(1_000);
-    let total = {
-        let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut runtime, &mut timeline];
-        run(&w.program, &input, &mut observers)
-            .map_err(SpmError::Run)?
-            .instrs
-    };
-
-    let firings = runtime.firings();
+    let MarkedRun { firings, total, .. } =
+        marked_run(&mut trace, parsed, Some(&mut timeline), &mut String::new())?;
     let mut samples = Vec::new();
     let mut per_sample_marker = Vec::new();
     let mut next_firing = 0usize;
@@ -1434,9 +1116,10 @@ fn cmd_timeseries(parsed: &ParsedArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Writes the HTML report, routing failures through the I/O taxonomy.
-fn write_html(path: &str, html: &str) -> Result<(), CliError> {
-    std::fs::write(path, html).map_err(|e| {
+/// Writes a report file (HTML, folded stacks), routing failures through
+/// the I/O taxonomy.
+fn write_file(path: &str, text: &str) -> Result<(), CliError> {
+    std::fs::write(path, text).map_err(|e| {
         CliError::Pipeline(SpmError::Io {
             path: path.to_string(),
             message: e.to_string(),
@@ -1458,14 +1141,7 @@ fn write_folded(path: &str, runs: &[spm_report::Run]) -> Result<(), CliError> {
             text.push('\n');
         }
     }
-    std::fs::write(path, text).map_err(|e| {
-        CliError::Pipeline(SpmError::Io {
-            path: path.to_string(),
-            message: e.to_string(),
-        })
-    })?;
-    eprintln!("# wrote {path}");
-    Ok(())
+    write_file(path, &text)
 }
 
 /// `spm report`: analyze metrics/spans streams written by `--metrics`
@@ -1475,10 +1151,7 @@ fn write_folded(path: &str, runs: &[spm_report::Run]) -> Result<(), CliError> {
 /// noise-aware cross-run comparison and exits 10 when a stage regressed
 /// beyond the threshold.
 fn cmd_report(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let cfg = spm_report::DiffConfig {
-        threshold: parsed.f64_flag("threshold", 25.0)? / 100.0,
-        min_us: parsed.u64_flag("min-us", 1_000)?,
-    };
+    let cfg = diff_config(parsed)?;
     match (parsed.flags.get("baseline"), parsed.flags.get("candidate")) {
         (Some(base_path), Some(cand_path)) => {
             if !parsed.positional.is_empty() {
@@ -1492,7 +1165,7 @@ fn cmd_report(parsed: &ParsedArgs) -> Result<(), CliError> {
             let diffs = spm_report::diff_runs(&base, &cand, &cfg);
             print!("{}", spm_report::diff::render(&base, &cand, &diffs, &cfg));
             if let Some(path) = parsed.flags.get("html") {
-                write_html(
+                write_file(
                     path,
                     &spm_report::html::render_diff(&base, &cand, &diffs, &cfg),
                 )?;
@@ -1519,7 +1192,7 @@ fn cmd_report(parsed: &ParsedArgs) -> Result<(), CliError> {
                 }
             }
             if let Some(path) = parsed.flags.get("html") {
-                write_html(path, &spm_report::html::render_runs(&runs))?;
+                write_file(path, &spm_report::html::render_runs(&runs))?;
             }
             if let Some(path) = parsed.flags.get("folded") {
                 write_folded(path, &runs)?;
@@ -1533,7 +1206,7 @@ fn cmd_report(parsed: &ParsedArgs) -> Result<(), CliError> {
 }
 
 fn cmd_export(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let w = workload(parsed)?;
+    let w = trace::target(trace::workload_name(parsed)?)?;
     print!("{}", spm_ir::write_workload(&w.program, &w.inputs));
     Ok(())
 }
@@ -1547,9 +1220,9 @@ fn corpus_dir(parsed: &ParsedArgs) -> Result<std::path::PathBuf, CliError> {
         .ok_or_else(|| CliError::Usage("corpus needs --dir DIR".into()))
 }
 
-/// The regression-query knobs, shared by `corpus query regressions`
-/// and `corpus html` (same defaults as `spm report`).
-fn corpus_diff_config(parsed: &ParsedArgs) -> Result<spm_report::DiffConfig, CliError> {
+/// The regression knobs, shared by `spm report`, `corpus query
+/// regressions` and `corpus html`.
+fn diff_config(parsed: &ParsedArgs) -> Result<spm_report::DiffConfig, CliError> {
     Ok(spm_report::DiffConfig {
         threshold: parsed.f64_flag("threshold", 25.0)? / 100.0,
         min_us: parsed.u64_flag("min-us", 1_000)?,
@@ -1657,8 +1330,8 @@ fn cmd_corpus(parsed: &ParsedArgs) -> Result<(), CliError> {
                     print!("{}", spm_corpus::query::render_trajectory(&points));
                     Ok(())
                 }
-                "regressions" => {
-                    let cfg = corpus_diff_config(parsed)?;
+                _ => {
+                    let cfg = diff_config(parsed)?;
                     let top = parsed.u64_flag("top", 20)? as usize;
                     let report = spm_corpus::query::regressions(&corpus, &cfg)?;
                     print!(
@@ -1670,9 +1343,6 @@ fn cmd_corpus(parsed: &ParsedArgs) -> Result<(), CliError> {
                     }
                     Ok(())
                 }
-                other => Err(CliError::Usage(format!(
-                    "unknown corpus query `{other}` (stability | trajectory | regressions)"
-                ))),
             }
         }
         "html" => {
@@ -1681,12 +1351,12 @@ fn cmd_corpus(parsed: &ParsedArgs) -> Result<(), CliError> {
                 .get("out")
                 .ok_or_else(|| CliError::Usage("corpus html needs --out FILE".into()))?;
             let corpus = spm_corpus::Corpus::load(&corpus_dir(parsed)?)?;
-            let cfg = corpus_diff_config(parsed)?;
+            let cfg = diff_config(parsed)?;
             let top = parsed.u64_flag("top", 20)? as usize;
             let stability = spm_corpus::query::stability(&corpus)?;
             let trajectory = spm_corpus::query::trajectory(&corpus)?;
             let regressions = spm_corpus::query::regressions(&corpus, &cfg)?;
-            write_html(
+            write_file(
                 out,
                 &spm_corpus::html::render(
                     &corpus,

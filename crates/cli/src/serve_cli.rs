@@ -17,13 +17,11 @@
 //! like the batch subcommands.
 
 use crate::args::{ArgError, ParsedArgs};
-use crate::{
-    input_of, is_store_file, open_store, select_config, store_replay, target, CliError,
-    CommandOutput,
-};
+use crate::trace::Trace;
+use crate::{run_units, select_config, CliError, CommandOutput};
 use spm_core::SpmError;
 use spm_serve::{send_events, SendConfig, ServeError, Server, ServerConfig, SessionConfig};
-use spm_sim::{run, TraceEvent, TraceObserver};
+use spm_sim::TraceEvent;
 
 /// Maps a serving-layer failure into the pipeline taxonomy: transport
 /// and filesystem failures keep their I/O identity (exit 3), local
@@ -103,27 +101,6 @@ pub fn cmd_serve(parsed: &ParsedArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Collects the full event stream of one send unit: a workload run
-/// (default input `train`, matching `spm select`) or an `.spmstk`
-/// store replay.
-fn unit_events(
-    parsed: &ParsedArgs,
-    name: &str,
-    err: &mut String,
-) -> Result<Vec<(u64, TraceEvent)>, CliError> {
-    let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
-    if is_store_file(name) {
-        let mut reader = open_store(name, err)?;
-        let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut tape];
-        store_replay(&mut reader, &mut observers, name, err)?;
-    } else {
-        let w = target(name)?;
-        let input = input_of(&w, parsed, "train")?;
-        run(&w.program, &input, &mut [&mut tape]).map_err(SpmError::Run)?;
-    }
-    Ok(tape)
-}
-
 /// The default session name of a send unit: the workload name's file
 /// stem (`workloads/gzip.spm` -> `gzip`).
 fn session_name_of(name: &str) -> String {
@@ -141,7 +118,10 @@ fn send_one(
     name: &str,
 ) -> Result<CommandOutput, CliError> {
     let mut err = String::new();
-    let events = unit_events(parsed, name, &mut err)?;
+    // The unit's whole event stream: a workload run (default input
+    // `train`, matching `spm select`) or a store replay.
+    let mut events: Vec<(u64, TraceEvent)> = Vec::new();
+    Trace::open(name, parsed, "train", &mut err)?.feed(&mut [&mut events], &mut err)?;
     let mut config = SendConfig::new(addr, session);
     config.block_budget = parsed.u64_flag("block-size", config.block_budget as u64)? as usize;
     let outcome = send_events(&config, &events).map_err(serve_error)?;
@@ -213,16 +193,10 @@ pub fn cmd_send(parsed: &ParsedArgs) -> Result<(), CliError> {
             units.push((session, name.clone()));
         }
     }
-    let outputs = spm_par::try_par_map(&units, |(session, name)| {
-        send_one(parsed, &addr, session, name)
-    })?;
-    let many = units.len() > 1;
-    for ((session, _), output) in units.iter().zip(outputs) {
-        if many {
-            println!("# session: {session}");
-        }
-        print!("{}", output.out);
-        eprint!("{}", output.err);
-    }
-    Ok(())
+    run_units(
+        "session",
+        &units,
+        |(session, _)| session,
+        |(session, name)| send_one(parsed, &addr, session, name),
+    )
 }

@@ -150,6 +150,68 @@ fn partition_from_store_produces_intervals() {
 }
 
 #[test]
+fn partition_with_markers_from_store_is_byte_identical_to_live() {
+    for (i, rel) in WORKLOAD_FILES.iter().enumerate() {
+        let wl = workload_path(rel);
+        let store = pack(&wl, "train", &format!("part-{i}.spmstk"));
+        let markers = tmp(&format!("part-{i}.markers"));
+        let selected = spm(&["select", &wl]);
+        assert!(selected.status.success(), "{rel}: {}", stderr(&selected));
+        std::fs::write(&markers, &selected.stdout).expect("write markers");
+        let m = markers.to_str().expect("utf8");
+        let live = spm(&["partition", "--markers", m, &wl, "--input", "train"]);
+        assert!(live.status.success(), "{rel}: {}", stderr(&live));
+        let stored = spm(&[
+            "partition",
+            "--markers",
+            m,
+            "--store",
+            store.to_str().expect("utf8"),
+        ]);
+        assert!(stored.status.success(), "{rel}: {}", stderr(&stored));
+        assert_eq!(stdout(&stored), stdout(&live), "{rel}: stdout differs");
+        assert_eq!(stderr(&stored), stderr(&live), "{rel}: stderr differs");
+        std::fs::remove_file(&store).ok();
+        std::fs::remove_file(&markers).ok();
+    }
+}
+
+#[test]
+fn workload_only_commands_reject_a_store_with_a_usage_error() {
+    let wl = workload_path("workloads/gzip.spm");
+    let store = pack(&wl, "train", "workload-only.spmstk");
+    let path = store.to_str().expect("utf8");
+    let out_file = tmp("workload-only-out.spmstk");
+    let out_path = out_file.to_str().expect("utf8");
+    let commands: [&[&str]; 7] = [
+        &["profile"],
+        &["explain"],
+        &["predict"],
+        &["structure"],
+        &["timeseries"],
+        &["export"],
+        &["pack", "--out", out_path],
+    ];
+    for command in commands {
+        let mut argv = vec![command[0], path];
+        argv.extend_from_slice(&command[1..]);
+        let out = spm(&argv);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        assert!(
+            err.starts_with(&format!(
+                "error: `{path}` is a trace store; `{}`",
+                command[0]
+            )) && err.contains("select, partition, simpoint"),
+            "{argv:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?} wrote stdout");
+    }
+    assert!(!out_file.exists(), "pack of a store created --out");
+    std::fs::remove_file(&store).ok();
+}
+
+#[test]
 fn corrupt_block_degrades_to_warning_and_exit_zero() {
     let wl = workload_path("workloads/art.spm");
     let store = pack(&wl, "train", "corrupt.spmstk");

@@ -27,7 +27,7 @@
 //! finalize and the client's `DONE` read is recoverable, not fatal.
 
 use crate::proto::{self, DeltaMsg, DoneMsg, ErrCode, Message, WireBlock};
-use crate::session::{state, SessionConfig, SessionCore, SessionStats};
+use crate::session::{state, BlockFit, SessionConfig, SessionCore, SessionStats};
 use crate::ServeError;
 use spm_sim::TraceEvent;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -425,28 +425,31 @@ fn handle_block(
         return Flow::Close;
     }
     let accepted = handle.accepted_events.load(Ordering::Acquire);
-    if block.meta.end_seq() <= accepted {
-        // A resend from before the watermark (reconnect): already
-        // analyzed and journaled, ack it silently.
-        flush_deltas(stream, handle);
-        reply(stream, &Message::Ack { events: accepted });
-        return Flow::Continue;
-    }
-    if block.meta.first_seq > accepted {
-        shared.proto_errors.fetch_add(1, Ordering::Relaxed);
-        flush_deltas(stream, handle);
-        reply(
-            stream,
-            &Message::Err {
-                code: ErrCode::SequenceGap,
-                detail: format!(
-                    "block starts at event {}, watermark is {accepted}",
-                    block.meta.first_seq
-                ),
-            },
-        );
-        return Flow::Close;
-    }
+    let skip = match BlockFit::of(&block.meta, accepted) {
+        BlockFit::Duplicate => {
+            // A resend from before the watermark (reconnect): already
+            // analyzed and journaled, ack it silently.
+            flush_deltas(stream, handle);
+            reply(stream, &Message::Ack { events: accepted });
+            return Flow::Continue;
+        }
+        BlockFit::Gap => {
+            shared.proto_errors.fetch_add(1, Ordering::Relaxed);
+            flush_deltas(stream, handle);
+            reply(
+                stream,
+                &Message::Err {
+                    code: ErrCode::SequenceGap,
+                    detail: format!(
+                        "block starts at event {}, watermark is {accepted}",
+                        block.meta.first_seq
+                    ),
+                },
+            );
+            return Flow::Close;
+        }
+        BlockFit::Fresh { skip } => skip,
+    };
     let mut fresh = match block.decode_events() {
         Ok(events) => events,
         Err(e) => {
@@ -464,7 +467,6 @@ fn handle_block(
     };
     // Drop the sub-watermark prefix of a straddling block (a no-op for
     // any other); the decoded events move into the queue uncopied.
-    let skip = (accepted - block.meta.first_seq) as usize;
     fresh.drain(..skip.min(fresh.len()));
     let incoming = batch_bytes(&fresh);
     let mut queue = lock(&handle.queue);

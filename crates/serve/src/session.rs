@@ -17,14 +17,49 @@
 //! writes `<name>.markers` next to it, which is exactly what
 //! `spm corpus add --from-session` ingests.
 
-use crate::proto::{DoneMsg, WireBlock};
+use crate::proto::DoneMsg;
 use crate::ServeError;
 use spm_core::text::write_markers;
 use spm_core::{IncrementalSelector, SelectConfig, SelectionDelta};
 use spm_sim::{TraceEvent, TraceObserver};
+use spm_store::format::BlockMeta;
 use spm_store::{FileIo, StoreReader, StoreWriter, SyncPolicy};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Where a block falls against a session's accepted-event watermark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockFit {
+    /// Entirely below the watermark: a resend after reconnect, acked
+    /// without analysis.
+    Duplicate,
+    /// Starts past the watermark: the server must reject it, since the
+    /// journal would silently lose the missing events.
+    Gap,
+    /// Reaches past the watermark from at or below it; its first `skip`
+    /// events were already accepted (nonzero when the client re-chunked
+    /// after a resume and the block straddles the watermark).
+    Fresh {
+        /// Already-accepted events at the head of the block.
+        skip: usize,
+    },
+}
+
+impl BlockFit {
+    /// Classifies a block with metadata `meta` against `accepted`, the
+    /// count of events the session has accepted.
+    pub fn of(meta: &BlockMeta, accepted: u64) -> Self {
+        if meta.end_seq() <= accepted {
+            BlockFit::Duplicate
+        } else if meta.first_seq > accepted {
+            BlockFit::Gap
+        } else {
+            BlockFit::Fresh {
+                skip: (accepted - meta.first_seq) as usize,
+            }
+        }
+    }
+}
 
 /// Shared per-session configuration.
 #[derive(Debug, Clone)]
@@ -349,30 +384,6 @@ impl SessionCore {
         self.selector.mem_estimate()
     }
 
-    /// Whether this block (by its first sequence number) skips past
-    /// the accepted watermark — a gap the server must reject, since
-    /// the journal would silently lose the missing events.
-    pub fn is_gap(&self, block: &WireBlock) -> bool {
-        block.meta.first_seq > self.accepted_events
-    }
-
-    /// Whether the block is entirely below the watermark (a resend
-    /// after reconnect) and can be acknowledged without analysis.
-    pub fn is_duplicate(&self, block: &WireBlock) -> bool {
-        block.meta.end_seq() <= self.accepted_events
-    }
-
-    /// Drops the already-accepted prefix of a block that straddles the
-    /// watermark (client re-chunked after a resume).
-    pub fn trim_overlap<'a>(
-        &self,
-        block: &WireBlock,
-        events: &'a [(u64, TraceEvent)],
-    ) -> &'a [(u64, TraceEvent)] {
-        let skip = self.accepted_events.saturating_sub(block.meta.first_seq) as usize;
-        &events[skip.min(events.len())..]
-    }
-
     /// Finalizes the session: flush + footer the journal generation,
     /// write `<name>.markers` beside it, and build the `DONE` summary.
     ///
@@ -548,14 +559,22 @@ mod tests {
         // Feed the rest; the final set matches a batch run.
         let rest = chunk_events(&events, 512)
             .into_iter()
-            .filter(|b| b.meta.first_seq >= watermark)
+            .filter(|b| b.meta.end_seq() > watermark)
             .collect::<Vec<_>>();
+        let mut trimmed = 0;
         for block in rest {
+            let BlockFit::Fresh { skip } = BlockFit::of(&block.meta, second.accepted_events) else {
+                panic!("the rest resumes at the watermark without a gap");
+            };
             let decoded = block.decode_events().unwrap();
-            let fresh = second.trim_overlap(&block, &decoded).to_vec();
             second.accepted_events = block.meta.end_seq();
-            second.analyze(&fresh).unwrap();
+            second.analyze(&decoded[skip..]).unwrap();
+            trimmed += skip;
         }
+        assert!(
+            trimmed > 0,
+            "the first resent block straddles the watermark"
+        );
         let mut batch = IncrementalSelector::new(SelectConfig::new(2_000), 3);
         batch.update(&events);
         assert_eq!(second.markers_text(), write_markers(batch.markers()));
@@ -591,12 +610,28 @@ mod tests {
         let (mut core, _) = SessionCore::open("s", &config).unwrap();
         let events = trace();
         let blocks = chunk_events(&events, 1024);
-        assert!(!core.is_gap(&blocks[0]));
-        assert!(core.is_gap(&blocks[1]), "skipping block 0 is a gap");
+        let fit =
+            |i: usize, core: &SessionCore| BlockFit::of(&blocks[i].meta, core.accepted_events);
+        assert_eq!(fit(0, &core), BlockFit::Fresh { skip: 0 });
+        assert_eq!(fit(1, &core), BlockFit::Gap, "skipping block 0 is a gap");
         let decoded = blocks[0].decode_events().unwrap();
         core.accepted_events = blocks[0].meta.end_seq();
         core.analyze(&decoded).unwrap();
-        assert!(core.is_duplicate(&blocks[0]), "resent block 0 is a dup");
-        assert!(!core.is_gap(&blocks[1]));
+        assert_eq!(
+            fit(0, &core),
+            BlockFit::Duplicate,
+            "resent block 0 is a dup"
+        );
+        assert_eq!(fit(1, &core), BlockFit::Fresh { skip: 0 });
+        // A block re-chunked across the watermark keeps only its tail.
+        let straddling = BlockMeta {
+            first_seq: core.accepted_events - 5,
+            events: 10,
+            ..blocks[1].meta
+        };
+        assert_eq!(
+            BlockFit::of(&straddling, core.accepted_events),
+            BlockFit::Fresh { skip: 5 }
+        );
     }
 }

@@ -97,11 +97,6 @@ impl Timeline {
         self.timing.cpi()
     }
 
-    /// Whole-run DL1 miss rate.
-    pub fn overall_miss_rate(&self) -> f64 {
-        self.timing.dl1_miss_rate()
-    }
-
     /// Cumulative state at instruction `x`, interpolated linearly between
     /// the surrounding snapshots and clamped to the observed range.
     fn cumulative(&self, x: u64) -> Cum {

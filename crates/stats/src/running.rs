@@ -149,16 +149,6 @@ impl Running {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance (dividing by `n - 1`); `0.0` for fewer than two
-    /// samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).max(0.0)
-        }
-    }
-
     /// Coefficient of variation: population stddev divided by mean, the
     /// paper's per-edge and per-phase variability metric. Returns `0.0`
     /// when the mean is zero (a zero-mean edge carries no behaviour to

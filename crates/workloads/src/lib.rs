@@ -111,14 +111,6 @@ pub fn behavior_suite() -> Vec<Workload> {
         .collect()
 }
 
-/// Builds the cache-reconfiguration suite (Figure 10).
-pub fn cache_suite() -> Vec<Workload> {
-    CACHE_SUITE
-        .iter()
-        .map(|n| build(n).expect("known name"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
