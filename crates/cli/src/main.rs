@@ -1,29 +1,7 @@
 //! `spm` — command-line driver for the software-phase-marker pipeline.
 //!
-//! ```text
-//! spm list
-//! spm profile <workload> [--input train|ref] [--dot] [--markers FILE]
-//! spm select  <workload>... [--input train|ref] [--ilower N] [--limit N] [--procs-only]
-//! spm partition <workload>... [--markers FILE] [--input train|ref] [--ilower N]
-//! spm simpoint <workload>... [--input train|ref] [--interval N] [--kmax K]
-//! spm predict <workload> [--order K] [--ilower N]
-//! spm structure <workload> [--ilower N]
-//! spm explain <workload> [--input train|ref] [--ilower N] [--limit N]
-//! spm timeseries <workload> [--input train|ref] [--step N] [--plot]
-//! spm pack <workload> --out FILE.spmstk [--block-size N] [--sync none|block|close] [--compress] [--input train|ref]
-//! spm record <workload> --out FILE.spmstk [...]   (same as pack)
-//! spm replay <file.spmstk>
-//! spm info <file.spmstk>
-//! spm report <metrics.jsonl>... [--html FILE] [--folded FILE]
-//! spm report --baseline A.jsonl --candidate B.jsonl [--threshold PCT] [--min-us N] [--html FILE]
-//! spm corpus add --dir DIR --workload NAME [--seed N] [--store|--metrics|--markers|--partition|--bench-report FILE]...
-//! spm corpus add --dir DIR --from-session NAME --serve-dir DIR
-//! spm corpus query stability|trajectory|regressions --dir DIR [--top N] [--gate]
-//! spm corpus html --dir DIR --out FILE
-//! spm serve [--listen ADDR] [--health ADDR|none] [--serve-dir DIR] [--budget BYTES] [--queue N] [--converge N] [--expect N]
-//! spm send <workload|file.spmstk>... --connect ADDR [--session NAME] [--sessions N] [--jobs N]
-//! spm help
-//! ```
+//! `spm help` prints the usage of every subcommand and flag (`HELP`
+//! below, the one usage list).
 //!
 //! `profile` prints the call-loop graph (text format, or Graphviz with
 //! `--dot`); `select` prints a marker file; `partition` re-runs the
@@ -334,7 +312,7 @@ spm - software phase markers (CGO'06 reproduction)
 
 USAGE:
   spm list
-  spm profile <workload> [--input train|ref] [--dot]
+  spm profile <workload> [--input train|ref] [--dot] [--markers FILE]
   spm select  <workload>... [--input train|ref] [--ilower N] [--limit N] [--procs-only]
   spm partition <workload>... [--markers FILE] [--input train|ref] [--ilower N]
   spm simpoint <workload>... [--input train|ref] [--interval N] [--kmax K]
@@ -385,6 +363,7 @@ FLAGS:
   --procs-only        consider procedure edges only
   --dot               emit the call-loop graph as Graphviz DOT
   --markers FILE      read markers from FILE instead of selecting them
+                      (`profile --dot`: highlight them in the graph)
   --order K           Markov predictor history length (default 1)
   --step N            sample stride for timeseries (default 10000)
   --plot              render timeseries as terminal sparklines

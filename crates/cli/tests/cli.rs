@@ -40,6 +40,11 @@ fn help_lists_subcommands() {
     ] {
         assert!(stdout(&out).contains(sub), "help missing {sub}");
     }
+    assert!(
+        stdout(&out)
+            .contains("spm profile <workload> [--input train|ref] [--dot] [--markers FILE]\n"),
+        "help must give the full profile usage"
+    );
 }
 
 #[test]

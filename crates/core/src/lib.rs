@@ -10,7 +10,10 @@
 //!    average / maximum / standard deviation of the hierarchical dynamic
 //!    instruction count per traversal.
 //! 2. [`profile`] — builds the graph from one execution's trace events
-//!    (the ATOM profiling run of the paper).
+//!    (the ATOM profiling run of the paper). Its shadow-stack walk of
+//!    the call-loop context is the one the marker runtime uses too, so
+//!    markers fire in the contexts the profiler records their edges in,
+//!    also on a damaged stream.
 //! 3. [`select`] — the two-pass marker-selection algorithm: prune by
 //!    minimum average interval size (`ilower`), derive a per-program CoV
 //!    threshold from the surviving candidates, and select low-variance

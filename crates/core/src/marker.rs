@@ -2,6 +2,7 @@
 //! variable-length interval (VLI) partitioning.
 
 use crate::graph::NodeKey;
+use crate::profile::{CallStack, Walker};
 use spm_ir::LoopId;
 use spm_sim::{FastMap, TraceEvent, TraceObserver};
 use std::fmt;
@@ -131,27 +132,20 @@ pub struct MarkerFiring {
     pub marker: usize,
 }
 
-#[derive(Debug, Clone)]
-enum ContextFrame {
-    Proc(spm_ir::ProcId),
-    Loop {
-        id: LoopId,
-        in_iteration: bool,
-        iters: u64,
-    },
-}
-
 /// Trace observer that detects marker executions during a run.
 ///
 /// This is the software-only runtime the paper envisions: the marker set
 /// corresponds to instrumentation inserted at call sites and loop
 /// branches, and firing requires no hardware support. The runtime tracks
-/// only the current call/loop context (a shadow stack), so detecting
-/// markers is O(1) per control-flow event.
+/// only the current call/loop context, on the same shadow-stack walk as
+/// the [`CallLoopProfiler`](crate::CallLoopProfiler) (a close that does
+/// not match the innermost frame is dropped), so markers fire in the
+/// contexts the profiler records their edges in, and detecting markers
+/// is O(1) per control-flow event.
 #[derive(Debug, Clone)]
 pub struct MarkerRuntime<'m> {
     markers: &'m MarkerSet,
-    stack: Vec<ContextFrame>,
+    stack: CallStack<NodeKey>,
     firings: Vec<MarkerFiring>,
 }
 
@@ -174,80 +168,35 @@ impl<'m> MarkerRuntime<'m> {
     pub fn into_firings(self) -> Vec<MarkerFiring> {
         self.firings
     }
+}
 
-    fn context(&self) -> NodeKey {
-        match self.stack.last() {
-            None => NodeKey::Root,
-            Some(ContextFrame::Proc(p)) => NodeKey::ProcBody(*p),
-            Some(ContextFrame::Loop {
-                id,
-                in_iteration: true,
-                ..
-            }) => NodeKey::LoopBody(*id),
-            Some(ContextFrame::Loop {
-                id,
-                in_iteration: false,
-                ..
-            }) => NodeKey::LoopHead(*id),
+impl Walker for MarkerRuntime<'_> {
+    type Node = NodeKey;
+
+    fn stack(&mut self) -> &mut CallStack<NodeKey> {
+        &mut self.stack
+    }
+
+    fn root(&self) -> NodeKey {
+        NodeKey::Root
+    }
+
+    fn node(&mut self, key: NodeKey) -> NodeKey {
+        key
+    }
+
+    fn enter(&mut self, from: NodeKey, to: NodeKey, icount: u64) {
+        if let Some(marker) = self.markers.edge_marker(from, to) {
+            self.firings.push(MarkerFiring { icount, marker });
         }
     }
 
-    fn check_edge(&mut self, icount: u64, from: NodeKey, to: NodeKey) {
-        if let Some(id) = self.markers.edge_marker(from, to) {
-            self.firings.push(MarkerFiring { icount, marker: id });
-        }
-    }
-
-    /// Processes one event; shared by the per-event and batch observer
-    /// entry points so the batch loop runs with static dispatch.
     #[inline]
-    fn step(&mut self, icount: u64, event: &TraceEvent) {
-        match *event {
-            TraceEvent::Call { proc } => {
-                let ctx = self.context();
-                self.check_edge(icount, ctx, NodeKey::ProcHead(proc));
-                self.check_edge(icount, NodeKey::ProcHead(proc), NodeKey::ProcBody(proc));
-                self.stack.push(ContextFrame::Proc(proc));
+    fn iterate(&mut self, loop_id: LoopId, index: u64, icount: u64) {
+        if let Some((group, marker)) = self.markers.group_marker(loop_id) {
+            if index.is_multiple_of(group.max(1)) {
+                self.firings.push(MarkerFiring { icount, marker });
             }
-            TraceEvent::Return { .. } => {
-                self.stack.pop();
-            }
-            TraceEvent::LoopEnter { loop_id } => {
-                let ctx = self.context();
-                self.check_edge(icount, ctx, NodeKey::LoopHead(loop_id));
-                self.stack.push(ContextFrame::Loop {
-                    id: loop_id,
-                    in_iteration: false,
-                    iters: 0,
-                });
-            }
-            TraceEvent::LoopIter { loop_id } => {
-                self.check_edge(
-                    icount,
-                    NodeKey::LoopHead(loop_id),
-                    NodeKey::LoopBody(loop_id),
-                );
-                let group = self.markers.group_marker(loop_id);
-                if let Some(ContextFrame::Loop {
-                    id,
-                    in_iteration,
-                    iters,
-                }) = self.stack.last_mut()
-                {
-                    debug_assert_eq!(*id, loop_id, "loop context corrupted");
-                    if let Some((g, marker)) = group {
-                        if *iters % g.max(1) == 0 {
-                            self.firings.push(MarkerFiring { icount, marker });
-                        }
-                    }
-                    *in_iteration = true;
-                    *iters += 1;
-                }
-            }
-            TraceEvent::LoopExit { .. } => {
-                self.stack.pop();
-            }
-            _ => {}
         }
     }
 }
@@ -255,7 +204,7 @@ impl<'m> MarkerRuntime<'m> {
 impl TraceObserver for MarkerRuntime<'_> {
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
         for (icount, event) in batch {
-            self.step(*icount, event);
+            self.walk(*icount, event);
         }
     }
 }
@@ -503,6 +452,7 @@ pub fn avg_interval_len(vlis: &[Vli]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CallLoopProfiler;
     use spm_ir::ProcId;
 
     #[test]
@@ -823,12 +773,15 @@ mod tests {
         firings
     }
 
-    /// A well-nested control stream from `(op, id)` choices: an
-    /// iteration or a close only where the open frame allows it.
+    /// A control stream from `(op, id)` choices, closed at the end. Ops
+    /// 0–4 keep it well nested: an iteration or a close only where the
+    /// open frame allows it. Ops 5–7 damage it as a lost block does: a
+    /// `Return` or `LoopExit` with no matching open, or a `LoopIter`
+    /// with no loop entry.
     fn event_stream(ops: &[(u8, usize)]) -> Vec<(u64, TraceEvent)> {
         let mut open: Vec<TraceEvent> = Vec::new();
         let mut events = Vec::new();
-        for (i, &(op, id)) in ops.iter().enumerate() {
+        for &(op, id) in ops {
             let id = IDS[id];
             let event = match (op, open.last()) {
                 (0, _) => TraceEvent::Call { proc: ProcId(id) },
@@ -838,20 +791,35 @@ mod tests {
                 (2, Some(&TraceEvent::LoopEnter { loop_id })) => TraceEvent::LoopIter { loop_id },
                 (3, Some(&TraceEvent::Call { proc })) => TraceEvent::Return { proc },
                 (3, Some(&TraceEvent::LoopEnter { loop_id })) => TraceEvent::LoopExit { loop_id },
+                (5, _) => TraceEvent::Return { proc: ProcId(id) },
+                (6, _) => TraceEvent::LoopExit {
+                    loop_id: LoopId(id),
+                },
+                (7, _) => TraceEvent::LoopIter {
+                    loop_id: LoopId(id),
+                },
                 _ => TraceEvent::BlockExec {
                     block: BlockId(id),
                     instrs: 3,
                     base_cpi: 1.0,
                 },
             };
-            match event {
-                TraceEvent::Call { .. } | TraceEvent::LoopEnter { .. } => open.push(event),
-                TraceEvent::Return { .. } | TraceEvent::LoopExit { .. } => {
+            match (op, event) {
+                (_, TraceEvent::Call { .. } | TraceEvent::LoopEnter { .. }) => open.push(event),
+                (3, _) => {
                     open.pop();
                 }
                 _ => {}
             }
-            events.push((3 * i as u64, event));
+            events.push((3 * events.len() as u64, event));
+        }
+        while let Some(event) = open.pop() {
+            let close = match event {
+                TraceEvent::Call { proc } => TraceEvent::Return { proc },
+                TraceEvent::LoopEnter { loop_id } => TraceEvent::LoopExit { loop_id },
+                _ => unreachable!("only opens are kept"),
+            };
+            events.push((3 * events.len() as u64, close));
         }
         events
     }
@@ -915,5 +883,83 @@ mod tests {
             }
             prop_assert_eq!(runtime.into_firings(), oracle_firings(&set, &events));
         }
+
+        /// With every edge of the lenient profiler's graph as a marker,
+        /// the runtime fires each edge at least as often as the graph
+        /// counts it (an edge still open at the end is entered but never
+        /// left), and exactly as often on a well-nested stream, however
+        /// the stream is damaged.
+        #[test]
+        fn runtime_fires_every_edge_the_lenient_profiler_records(
+            ops in proptest::collection::vec((0u8..8, 0usize..IDS.len()), 0..400),
+            cut in 1usize..64,
+        ) {
+            let events = event_stream(&ops);
+            let mut profiler = CallLoopProfiler::lenient();
+            profiler.on_batch(&events);
+            let graph = profiler.into_graph().unwrap();
+            let key = |id: crate::NodeId| graph.node(id).key;
+            let set: MarkerSet = graph
+                .edges()
+                .iter()
+                .map(|e| Marker::Edge { from: key(e.from), to: key(e.to) })
+                .collect();
+            let mut runtime = MarkerRuntime::new(&set);
+            for batch in events.chunks(cut) {
+                runtime.on_batch(batch);
+            }
+            let mut fired = vec![0u64; set.len()];
+            for firing in runtime.into_firings() {
+                fired[firing.marker] += 1;
+            }
+            let well_nested = ops.iter().all(|&(op, _)| op < 5);
+            for (edge, &fired) in graph.edges().iter().zip(&fired) {
+                prop_assert!(fired >= edge.count(), "{fired} < {}", edge.count());
+                if well_nested {
+                    prop_assert_eq!(fired, edge.count());
+                }
+            }
+        }
+    }
+
+    /// After a lost `LoopExit`, the `Return` that follows does not match
+    /// the innermost frame: the profiler drops it and keeps the loop as
+    /// the context, so the runtime fires the call edge from the loop,
+    /// the one the graph holds, not the one from the caller's body.
+    #[test]
+    fn runtime_follows_the_lenient_profiler_past_an_unmatched_close() {
+        let (p0, p1, l0) = (ProcId(0), ProcId(1), LoopId(0));
+        let events = [
+            (0, TraceEvent::Call { proc: p0 }),
+            (1, TraceEvent::LoopEnter { loop_id: l0 }),
+            (2, TraceEvent::Return { proc: p0 }),
+            (3, TraceEvent::Call { proc: p1 }),
+            (4, TraceEvent::Return { proc: p1 }),
+        ];
+        let mut profiler = CallLoopProfiler::lenient();
+        profiler.on_batch(&events);
+        let graph = profiler.into_graph().unwrap();
+        let node = |key| graph.node_by_key(key).unwrap();
+        let (loop_head, p1_head) = (node(NodeKey::LoopHead(l0)), node(NodeKey::ProcHead(p1)));
+        assert_eq!(graph.edge_between(loop_head, p1_head).unwrap().count(), 1);
+
+        let from_loop = Marker::Edge {
+            from: NodeKey::LoopHead(l0),
+            to: NodeKey::ProcHead(p1),
+        };
+        let from_caller = Marker::Edge {
+            from: NodeKey::ProcBody(p0),
+            to: NodeKey::ProcHead(p1),
+        };
+        let set: MarkerSet = [from_loop, from_caller].into_iter().collect();
+        let mut runtime = MarkerRuntime::new(&set);
+        runtime.on_batch(&events);
+        assert_eq!(
+            runtime.into_firings(),
+            vec![MarkerFiring {
+                icount: 3,
+                marker: 0
+            }]
+        );
     }
 }

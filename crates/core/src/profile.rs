@@ -1,57 +1,178 @@
 //! Building the call-loop graph from an execution trace (the paper's
-//! ATOM profiling run).
+//! ATOM profiling run), and the call-loop context walk it shares with
+//! the marker runtime.
+//!
+//! A marker is a graph edge named by the context it is entered from, so
+//! the profiler that builds the graph and the [`MarkerRuntime`] that
+//! fires markers must agree on every context. Both implement the
+//! crate-private `Walker` trait, whose one `walk` method decides which
+//! edges each control event enters and leaves, on one shadow stack of
+//! frames. A close that does not match the innermost frame (a lost
+//! open, e.g. in a store replay with skipped blocks) is dropped and the
+//! stack kept as-is, for both observers; only the profiler reports it
+//! (poison when strict, count when lenient).
+//!
+//! [`MarkerRuntime`]: crate::MarkerRuntime
 
 use crate::error::{FrameLabel, ProfileError};
 use crate::graph::{CallLoopGraph, NodeId, NodeKey};
+use spm_ir::LoopId;
 use spm_sim::{TraceEvent, TraceObserver};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameKind {
-    ProcHead,
-    ProcBody,
-    LoopHead,
-    LoopBody,
+/// One open frame of the shadow stack: a traversal of `from -> to`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<N> {
+    label: FrameLabel,
+    from: N,
+    to: N,
+    /// Instruction count when the edge was entered.
+    start: u64,
+    /// Iteration index within the current loop entry (`LoopBody`
+    /// frames; 0 otherwise).
+    iter: u64,
 }
 
-impl FrameKind {
-    fn label(self) -> FrameLabel {
-        match self {
-            FrameKind::ProcHead => FrameLabel::ProcHead,
-            FrameKind::ProcBody => FrameLabel::ProcBody,
-            FrameKind::LoopHead => FrameLabel::LoopHead,
-            FrameKind::LoopBody => FrameLabel::LoopBody,
+/// The shadow stack, innermost frame last.
+pub(crate) type CallStack<N> = Vec<Frame<N>>;
+
+/// An observer of the call-loop context walk. `Node` is how it names
+/// graph nodes; the hooks default to doing nothing.
+pub(crate) trait Walker {
+    type Node: Copy + PartialEq;
+
+    fn stack(&mut self) -> &mut CallStack<Self::Node>;
+
+    /// The context outside every frame.
+    fn root(&self) -> Self::Node;
+
+    fn node(&mut self, key: NodeKey) -> Self::Node;
+
+    /// The edge `from -> to` is entered at `icount`.
+    fn enter(&mut self, _from: Self::Node, _to: Self::Node, _icount: u64) {}
+
+    /// Iteration `index` (from 0) of the current entry of `loop_id`
+    /// starts at `icount`, right after its `head -> body` edge is
+    /// entered.
+    fn iterate(&mut self, _loop_id: LoopId, _index: u64, _icount: u64) {}
+
+    /// `frame` is closed by its matching event at `icount`.
+    fn leave(&mut self, _frame: Frame<Self::Node>, _icount: u64) {}
+
+    /// A close of `closing` found `found` innermost instead; the close
+    /// was dropped and the stack kept.
+    fn unmatched(&mut self, _closing: FrameLabel, _found: Option<FrameLabel>) {}
+
+    /// Moves the context by one event: the only place that decides
+    /// which edges a control event enters and leaves.
+    ///
+    /// * `Call p` (from context `c`): enters `c -> head(p)` and
+    ///   `head(p) -> body(p)`, both left at the matching `Return`;
+    /// * `LoopEnter l` (from context `c`): enters `c -> head(l)`, left
+    ///   at `LoopExit`;
+    /// * `LoopIter l`: enters `head(l) -> body(l)`, left at the next
+    ///   iteration or at `LoopExit`.
+    #[inline]
+    fn walk(&mut self, icount: u64, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Call { proc } => {
+                let ctx = self.context();
+                let head = self.node(NodeKey::ProcHead(proc));
+                let body = self.node(NodeKey::ProcBody(proc));
+                self.open(FrameLabel::ProcHead, ctx, head, icount);
+                self.open(FrameLabel::ProcBody, head, body, icount);
+            }
+            TraceEvent::Return { .. } => {
+                self.close(FrameLabel::ProcBody, icount);
+                self.close(FrameLabel::ProcHead, icount);
+            }
+            TraceEvent::LoopEnter { loop_id } => {
+                let ctx = self.context();
+                let head = self.node(NodeKey::LoopHead(loop_id));
+                self.open(FrameLabel::LoopHead, ctx, head, icount);
+            }
+            TraceEvent::LoopIter { loop_id } => {
+                let head = self.node(NodeKey::LoopHead(loop_id));
+                let body = self.node(NodeKey::LoopBody(loop_id));
+                // The next iteration of the innermost loop leaves and
+                // re-enters `head -> body` in its frame, with no pop and
+                // push: `LoopIter` is the most frequent control event.
+                let index = match self.stack().last_mut() {
+                    Some(top) if top.label == FrameLabel::LoopBody && top.to == body => {
+                        let last = *top;
+                        top.start = icount;
+                        top.iter += 1;
+                        self.leave(last, icount);
+                        self.enter(head, body, icount);
+                        last.iter + 1
+                    }
+                    _ => {
+                        self.close_iteration(icount);
+                        self.open(FrameLabel::LoopBody, head, body, icount);
+                        0
+                    }
+                };
+                self.iterate(loop_id, index, icount);
+            }
+            TraceEvent::LoopExit { .. } => {
+                self.close_iteration(icount);
+                self.close(FrameLabel::LoopHead, icount);
+            }
+            _ => {}
+        }
+    }
+
+    #[inline]
+    fn context(&mut self) -> Self::Node {
+        let top = self.stack().last().map(|frame| frame.to);
+        top.unwrap_or_else(|| self.root())
+    }
+
+    #[inline]
+    fn open(&mut self, label: FrameLabel, from: Self::Node, to: Self::Node, icount: u64) {
+        self.stack().push(Frame {
+            label,
+            from,
+            to,
+            start: icount,
+            iter: 0,
+        });
+        self.enter(from, to, icount);
+    }
+
+    /// Closes the innermost frame if it is a `label` frame; otherwise
+    /// drops the close and keeps the stack.
+    #[inline]
+    fn close(&mut self, label: FrameLabel, icount: u64) {
+        match self.stack().last().copied() {
+            Some(frame) if frame.label == label => {
+                self.stack().pop();
+                self.leave(frame, icount);
+            }
+            found => self.unmatched(label, found.map(|f| f.label)),
+        }
+    }
+
+    /// Closes the innermost frame if it is a loop iteration.
+    #[inline]
+    fn close_iteration(&mut self, icount: u64) {
+        if self.stack().last().map(|frame| frame.label) == Some(FrameLabel::LoopBody) {
+            self.close(FrameLabel::LoopBody, icount);
         }
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    kind: FrameKind,
-    from: NodeId,
-    to: NodeId,
-    start: u64,
-}
-
 /// Trace observer that constructs the [`CallLoopGraph`] of one execution.
 ///
-/// Maintains a shadow stack of active procedure activations and loop
-/// nests. Each activation/entry/iteration contributes one traversal of
-/// the corresponding graph edge, annotated with the hierarchical
-/// instruction count elapsed until the matching return/exit/next
-/// iteration:
-///
-/// * `Call p` (from context `c`): traverses `c -> head(p)` and
-///   `head(p) -> body(p)`, both closed at the matching `Return`;
-/// * `LoopEnter l` (from context `c`): traverses `c -> head(l)`, closed
-///   at `LoopExit`;
-/// * `LoopIter l`: traverses `head(l) -> body(l)`, closed at the next
-///   iteration or at `LoopExit`.
+/// Walks the call-loop context shared with the marker runtime (see the
+/// [module docs](self)) and records
+/// one traversal of each edge when it is left, annotated with the
+/// hierarchical instruction count elapsed since it was entered.
 ///
 /// See the crate-level example for usage.
 #[derive(Debug, Clone)]
 pub struct CallLoopProfiler {
     graph: CallLoopGraph,
-    stack: Vec<Frame>,
+    stack: CallStack<NodeId>,
     /// Events seen so far (for error context).
     events: u64,
     /// First corruption observed. The [`TraceObserver`] interface has
@@ -173,103 +294,38 @@ impl CallLoopProfiler {
     pub fn graph(&self) -> &CallLoopGraph {
         &self.graph
     }
+}
 
-    fn context(&self) -> NodeId {
-        self.stack.last().map_or(self.graph.root(), |f| f.to)
+impl Walker for CallLoopProfiler {
+    type Node = NodeId;
+
+    fn stack(&mut self) -> &mut CallStack<NodeId> {
+        &mut self.stack
     }
 
-    fn push(&mut self, kind: FrameKind, from: NodeId, to: NodeId, start: u64) {
-        self.stack.push(Frame {
-            kind,
-            from,
-            to,
-            start,
-        });
+    fn root(&self) -> NodeId {
+        self.graph.root()
     }
 
-    /// Closes the innermost frame, which must be of `kind`; on
-    /// mismatch records the corruption (keeping the frame intact so
-    /// later events keep some context) and returns without recording a
-    /// traversal.
-    fn pop(&mut self, kind: FrameKind, icount: u64) {
-        match self.stack.last() {
-            Some(frame) if frame.kind == kind => {
-                let frame = *frame;
-                self.stack.pop();
-                self.graph.record_traversal(
-                    frame.from,
-                    frame.to,
-                    icount.saturating_sub(frame.start),
-                );
-            }
-            found => {
-                if self.lenient {
-                    // The matching open was lost (skipped block):
-                    // drop the close, keep the stack as-is.
-                    self.tolerated += 1;
-                    return;
-                }
-                let found = found.map(|f| f.kind.label());
-                self.poison(ProfileError::MismatchedFrame {
-                    closing: kind.label(),
-                    found,
-                    at_event: self.events.saturating_sub(1),
-                });
-            }
-        }
+    fn node(&mut self, key: NodeKey) -> NodeId {
+        self.graph.intern(key)
     }
 
-    fn poison(&mut self, error: ProfileError) {
-        if self.fault.is_none() {
-            self.fault = Some(error);
-        }
+    fn leave(&mut self, frame: Frame<NodeId>, icount: u64) {
+        let instrs = icount.saturating_sub(frame.start);
+        self.graph.record_traversal(frame.from, frame.to, instrs);
     }
 
-    /// Processes one event; shared by the per-event and batch observer
-    /// entry points so the batch loop runs with static dispatch.
-    #[inline]
-    fn step(&mut self, icount: u64, event: &TraceEvent) {
-        self.events += 1;
-        match *event {
-            TraceEvent::Call { proc } => {
-                let ctx = self.context();
-                let head = self.graph.intern(NodeKey::ProcHead(proc));
-                let body = self.graph.intern(NodeKey::ProcBody(proc));
-                self.push(FrameKind::ProcHead, ctx, head, icount);
-                self.push(FrameKind::ProcBody, head, body, icount);
-            }
-            TraceEvent::Return { .. } => {
-                self.pop(FrameKind::ProcBody, icount);
-                self.pop(FrameKind::ProcHead, icount);
-            }
-            TraceEvent::LoopEnter { loop_id } => {
-                let ctx = self.context();
-                let head = self.graph.intern(NodeKey::LoopHead(loop_id));
-                self.push(FrameKind::LoopHead, ctx, head, icount);
-            }
-            TraceEvent::LoopIter { loop_id } => {
-                if self
-                    .stack
-                    .last()
-                    .is_some_and(|f| f.kind == FrameKind::LoopBody)
-                {
-                    self.pop(FrameKind::LoopBody, icount);
-                }
-                let head = self.graph.intern(NodeKey::LoopHead(loop_id));
-                let body = self.graph.intern(NodeKey::LoopBody(loop_id));
-                self.push(FrameKind::LoopBody, head, body, icount);
-            }
-            TraceEvent::LoopExit { .. } => {
-                if self
-                    .stack
-                    .last()
-                    .is_some_and(|f| f.kind == FrameKind::LoopBody)
-                {
-                    self.pop(FrameKind::LoopBody, icount);
-                }
-                self.pop(FrameKind::LoopHead, icount);
-            }
-            _ => {}
+    fn unmatched(&mut self, closing: FrameLabel, found: Option<FrameLabel>) {
+        if self.lenient {
+            // The matching open was lost (skipped block).
+            self.tolerated += 1;
+        } else if self.fault.is_none() {
+            self.fault = Some(ProfileError::MismatchedFrame {
+                closing,
+                found,
+                at_event: self.events.saturating_sub(1),
+            });
         }
     }
 }
@@ -277,7 +333,8 @@ impl CallLoopProfiler {
 impl TraceObserver for CallLoopProfiler {
     fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
         for (icount, event) in batch {
-            self.step(*icount, event);
+            self.events += 1;
+            self.walk(*icount, event);
         }
     }
 }

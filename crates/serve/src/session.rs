@@ -191,8 +191,6 @@ pub struct SessionCore {
     converged_at: u64,
     /// Pending deltas, drained by the connection thread.
     pub outbox: Vec<SelectionDelta>,
-    /// Set when the session failed server-side.
-    pub failure: Option<ServeError>,
 }
 
 /// The committed journal generations for session `name` under `dir`,
@@ -287,7 +285,6 @@ impl SessionCore {
             blocks,
             converged_at: 0,
             outbox: Vec::new(),
-            failure: None,
         };
         if resumed {
             // Replay fed the selector block-by-block; fold the replayed
@@ -308,8 +305,7 @@ impl SessionCore {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] when the journal write fails; the session is
-    /// then marked failed (`failure` is set) and the error returned.
+    /// [`ServeError::Io`] when the journal write fails.
     pub fn analyze(&mut self, events: &[(u64, TraceEvent)]) -> Result<(), ServeError> {
         if self.config.analysis_delay_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(
@@ -323,12 +319,10 @@ impl SessionCore {
             // acked, which is what reconnect-resume promises.
             journal.checkpoint();
             if let Some(e) = journal.fault() {
-                let err = ServeError::Io {
+                return Err(ServeError::Io {
                     context: format!("journal/{}", self.name),
                     message: e.to_string(),
-                };
-                self.failure = Some(err.clone());
-                return Err(err);
+                });
             }
         }
         let delta = self.selector.update(events);
@@ -390,17 +384,13 @@ impl SessionCore {
     /// # Errors
     ///
     /// [`ServeError::Io`] when the journal or marker file cannot be
-    /// written (the session is marked failed).
+    /// written.
     pub fn finish(&mut self) -> Result<DoneMsg, ServeError> {
         let markers_text = write_markers(self.selector.markers());
         if let Some(journal) = self.journal.take() {
-            journal.finish().map_err(|e| {
-                let err = ServeError::Io {
-                    context: format!("journal/{}", self.name),
-                    message: e.to_string(),
-                };
-                self.failure = Some(err.clone());
-                err
+            journal.finish().map_err(|e| ServeError::Io {
+                context: format!("journal/{}", self.name),
+                message: e.to_string(),
             })?;
         }
         if let Some(dir) = &self.config.dir {
