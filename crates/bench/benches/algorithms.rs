@@ -51,6 +51,21 @@ fn bench_callloop_profile(c: &mut Criterion) {
             by_plain.into_firings().len() + by_limit.into_firings().len()
         })
     });
+    // The same two runtimes fed live by the simulator, which hands them
+    // only the call-loop events.
+    group.bench_function("mark_gzip_ref_live", |b| {
+        b.iter(|| {
+            let mut by_plain = MarkerRuntime::new(&plain);
+            let mut by_limit = MarkerRuntime::new(&limit);
+            run(
+                &w.program,
+                &w.ref_input,
+                &mut [&mut by_plain, &mut by_limit],
+            )
+            .unwrap();
+            by_plain.into_firings().len() + by_limit.into_firings().len()
+        })
+    });
     group.finish();
 }
 

@@ -161,6 +161,52 @@ fn every_workload_emits_schema_valid_partition_metrics() {
             "{file}: histogram buckets disagree with count"
         );
         assert!(count > 0, "{file}: partition produced no intervals");
+        // The marked run carries a timing timeline, which reads data
+        // events, so both runs are handed the full stream.
+        let runs = sim_runs(&events, "cli/partition/sim/run");
+        assert_eq!(runs.len(), 2, "{file}: profiling and marked runs");
+        assert!(
+            runs.iter().all(|(events, delivered)| delivered == events),
+            "{file}: {runs:?}"
+        );
+    }
+}
+
+/// `(events, delivered)` of every span named `name`.
+fn sim_runs(events: &[Json], name: &str) -> Vec<(f64, f64)> {
+    events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+        .map(|e| {
+            let fields = e.get("fields").expect("fields object");
+            let num = |key| fields.get(key).and_then(Json::as_num).expect(key);
+            (num("events"), num("delivered"))
+        })
+        .collect()
+}
+
+#[test]
+fn marker_only_runs_are_handed_call_loop_events() {
+    for (i, file) in workload_files().iter().enumerate() {
+        let file = file.to_str().expect("utf-8 path");
+        let events = metrics_of("structure", file, &[], &format!("struct{i}"));
+        // The profiling run reads every event; the marked run, a marker
+        // runtime alone, is handed only the call-loop events.
+        let runs = sim_runs(&events, "cli/structure/sim/run");
+        assert_eq!(runs.len(), 2, "{file}: profiling and marked runs");
+        assert_eq!(runs[0].1, runs[0].0, "{file}: profiling run {runs:?}");
+        assert!(
+            runs[1].1 > 0.0 && runs[1].1 < runs[1].0,
+            "{file}: marked run {runs:?}"
+        );
+        // `partition` marks the same `ref` run with a timeline beside
+        // the runtime: the full stream has the same length.
+        let full = metrics_of("partition", file, &[], &format!("struct-part{i}"));
+        let full = sim_runs(&full, "cli/partition/sim/run");
+        assert_eq!(
+            full[1].0, runs[1].0,
+            "{file}: events of the full and marked runs"
+        );
     }
 }
 

@@ -22,7 +22,8 @@
 //! 4. [`marker`] — marker sets, the runtime that detects marker
 //!    executions on a later run (possibly of a different input), and the
 //!    partitioning of execution into **variable-length intervals** with
-//!    phase ids.
+//!    phase ids. The runtime reads call-loop events only, so a
+//!    simulation that feeds nothing else skips building data events.
 //!
 //! [`crossbin`] implements the paper's cross-binary experiment: selecting
 //! one marker set that is valid across two compilations of the same
@@ -84,6 +85,8 @@ pub mod marker;
 pub mod predict;
 pub mod profile;
 pub mod select;
+#[cfg(test)]
+mod test_streams;
 pub mod text;
 
 pub use analysis::{recursive_cycles, summarize, GraphSummary};

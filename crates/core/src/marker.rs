@@ -141,19 +141,75 @@ pub struct MarkerFiring {
 /// the [`CallLoopProfiler`](crate::CallLoopProfiler) (a close that does
 /// not match the innermost frame is dropped), so markers fire in the
 /// contexts the profiler records their edges in, and detecting markers
-/// is O(1) per control-flow event.
+/// is O(1) per control-flow event. A loop iteration, the most frequent
+/// of them, finds its markers in a per-loop table built once in
+/// [`new`](Self::new), with no hashing.
+///
+/// It acts on call-loop events only and says so through
+/// [`TraceObserver::reads_data`], so `spm_sim::run` hands a run whose
+/// observers are all marker runtimes only those events.
 #[derive(Debug, Clone)]
 pub struct MarkerRuntime<'m> {
     markers: &'m MarkerSet,
+    /// The markers an iteration of each loop can fire, by loop id, up to
+    /// the largest marked loop id below [`DENSE_LOOPS`]: loops past it
+    /// and below that bound have none, and larger ids look theirs up in
+    /// the set.
+    loops: Vec<LoopMarkers>,
     stack: CallStack<NodeKey>,
     firings: Vec<MarkerFiring>,
+}
+
+/// Bound on [`MarkerRuntime`]'s per-loop table. Programs number loops
+/// densely from 0, so this covers every loop of a program with up to
+/// this many loops while a stray huge id cannot size the table.
+const DENSE_LOOPS: usize = 1 << 12;
+
+/// The markers that can fire on an iteration of one loop.
+#[derive(Debug, Clone, Copy)]
+struct LoopMarkers {
+    /// The loop's `head -> body` edge marker.
+    edge: Option<usize>,
+    /// The loop's `LoopGroup` marker, with its group size.
+    group: Option<(u64, usize)>,
+}
+
+impl LoopMarkers {
+    const NONE: Self = Self {
+        edge: None,
+        group: None,
+    };
+
+    fn of(markers: &MarkerSet, loop_id: LoopId) -> Self {
+        Self {
+            edge: markers.edge_marker(NodeKey::LoopHead(loop_id), NodeKey::LoopBody(loop_id)),
+            group: markers.group_marker(loop_id),
+        }
+    }
 }
 
 impl<'m> MarkerRuntime<'m> {
     /// Creates a runtime detecting the given marker set.
     pub fn new(markers: &'m MarkerSet) -> Self {
+        let len = markers
+            .iter()
+            .filter_map(|(_, marker)| match marker {
+                Marker::Edge {
+                    from: NodeKey::LoopHead(head),
+                    to: NodeKey::LoopBody(body),
+                } if head == body => Some(body.index()),
+                Marker::LoopGroup { loop_id, .. } => Some(loop_id.index()),
+                _ => None,
+            })
+            .filter(|&index| index < DENSE_LOOPS)
+            .max()
+            .map_or(0, |index| index + 1);
+        let loops = (0..len)
+            .map(|index| LoopMarkers::of(markers, LoopId(index as u32)))
+            .collect();
         Self {
             markers,
+            loops,
             stack: Vec::new(),
             firings: Vec::new(),
         }
@@ -185,6 +241,10 @@ impl Walker for MarkerRuntime<'_> {
         key
     }
 
+    fn key(&self, node: NodeKey) -> NodeKey {
+        node
+    }
+
     fn enter(&mut self, from: NodeKey, to: NodeKey, icount: u64) {
         if let Some(marker) = self.markers.edge_marker(from, to) {
             self.firings.push(MarkerFiring { icount, marker });
@@ -193,7 +253,15 @@ impl Walker for MarkerRuntime<'_> {
 
     #[inline]
     fn iterate(&mut self, loop_id: LoopId, index: u64, icount: u64) {
-        if let Some((group, marker)) = self.markers.group_marker(loop_id) {
+        let loop_markers = match self.loops.get(loop_id.index()) {
+            Some(&loop_markers) => loop_markers,
+            None if loop_id.index() < DENSE_LOOPS => LoopMarkers::NONE,
+            None => LoopMarkers::of(self.markers, loop_id),
+        };
+        if let Some(marker) = loop_markers.edge {
+            self.firings.push(MarkerFiring { icount, marker });
+        }
+        if let Some((group, marker)) = loop_markers.group {
             if index.is_multiple_of(group.max(1)) {
                 self.firings.push(MarkerFiring { icount, marker });
             }
@@ -206,6 +274,12 @@ impl TraceObserver for MarkerRuntime<'_> {
         for (icount, event) in batch {
             self.walk(*icount, event);
         }
+    }
+
+    /// Markers are call-loop edges: the runtime acts on call-loop
+    /// events only.
+    fn reads_data(&self) -> bool {
+        false
     }
 }
 
@@ -703,15 +777,12 @@ mod tests {
         );
     }
 
+    use crate::test_streams::{event_stream, IDS};
     use proptest::prelude::*;
-    use spm_ir::BlockId;
-
-    /// Ids the generated streams and marker sets draw from, including
-    /// the top of the `u32` range and strided ids.
-    const IDS: [u32; 7] = [0, 1, 2, 7, 1 << 20, u32::MAX - 1, u32::MAX];
 
     /// Oracle: the runtime's shadow-stack walk, with every marker found
-    /// by a linear scan of `markers()` instead of the set's indexes.
+    /// by a linear scan of `markers()` instead of the set's indexes. A
+    /// close that does not match the innermost frame is dropped.
     fn oracle_firings(set: &MarkerSet, events: &[(u64, TraceEvent)]) -> Vec<MarkerFiring> {
         let edge = |from: NodeKey, to: NodeKey| {
             set.markers()
@@ -726,16 +797,27 @@ mod tests {
                 _ => None,
             })
         };
-        // Frames: (context key while inside, iterations for loops).
-        let mut stack: Vec<(NodeKey, Option<u64>)> = Vec::new();
+        // Frames: (kind, context key while inside, iteration index).
+        // A call's head and body frames open and close together, so one
+        // frame stands for both.
+        #[derive(PartialEq)]
+        enum Open {
+            Proc,
+            Loop,
+            Iteration,
+        }
+        let mut stack: Vec<(Open, NodeKey, u64)> = Vec::new();
         let mut firings = Vec::new();
         let mut fire = |icount, marker: Option<usize>| {
             if let Some(marker) = marker {
                 firings.push(MarkerFiring { icount, marker });
             }
         };
+        let top_is = |stack: &Vec<(Open, NodeKey, u64)>, kind: Open| {
+            stack.last().is_some_and(|frame| frame.0 == kind)
+        };
         for &(icount, event) in events {
-            let ctx = stack.last().map_or(NodeKey::Root, |f| f.0);
+            let ctx = stack.last().map_or(NodeKey::Root, |f| f.1);
             match event {
                 TraceEvent::Call { proc } => {
                     fire(icount, edge(ctx, NodeKey::ProcHead(proc)));
@@ -743,85 +825,49 @@ mod tests {
                         icount,
                         edge(NodeKey::ProcHead(proc), NodeKey::ProcBody(proc)),
                     );
-                    stack.push((NodeKey::ProcBody(proc), None));
+                    stack.push((Open::Proc, NodeKey::ProcBody(proc), 0));
                 }
                 TraceEvent::LoopEnter { loop_id } => {
                     fire(icount, edge(ctx, NodeKey::LoopHead(loop_id)));
-                    stack.push((NodeKey::LoopHead(loop_id), Some(0)));
+                    stack.push((Open::Loop, NodeKey::LoopHead(loop_id), 0));
                 }
                 TraceEvent::LoopIter { loop_id } => {
-                    fire(
-                        icount,
-                        edge(NodeKey::LoopHead(loop_id), NodeKey::LoopBody(loop_id)),
-                    );
-                    if let Some((key, Some(iters))) = stack.last_mut() {
-                        if let Some((g, id)) = group(loop_id) {
-                            if *iters % g.max(1) == 0 {
-                                fire(icount, Some(id));
-                            }
+                    let body = NodeKey::LoopBody(loop_id);
+                    let index = match stack.last_mut() {
+                        Some((Open::Iteration, key, iter)) if *key == body => {
+                            *iter += 1;
+                            *iter
                         }
-                        *key = NodeKey::LoopBody(loop_id);
-                        *iters += 1;
+                        _ => {
+                            if top_is(&stack, Open::Iteration) {
+                                stack.pop();
+                            }
+                            stack.push((Open::Iteration, body, 0));
+                            0
+                        }
+                    };
+                    fire(icount, edge(NodeKey::LoopHead(loop_id), body));
+                    if let Some((g, id)) = group(loop_id) {
+                        if index % g.max(1) == 0 {
+                            fire(icount, Some(id));
+                        }
                     }
                 }
-                TraceEvent::Return { .. } | TraceEvent::LoopExit { .. } => {
+                TraceEvent::Return { .. } if top_is(&stack, Open::Proc) => {
                     stack.pop();
+                }
+                TraceEvent::LoopExit { .. } => {
+                    if top_is(&stack, Open::Iteration) {
+                        stack.pop();
+                    }
+                    if top_is(&stack, Open::Loop) {
+                        stack.pop();
+                    }
                 }
                 _ => {}
             }
         }
         firings
-    }
-
-    /// A control stream from `(op, id)` choices, closed at the end. Ops
-    /// 0–4 keep it well nested: an iteration or a close only where the
-    /// open frame allows it. Ops 5–7 damage it as a lost block does: a
-    /// `Return` or `LoopExit` with no matching open, or a `LoopIter`
-    /// with no loop entry.
-    fn event_stream(ops: &[(u8, usize)]) -> Vec<(u64, TraceEvent)> {
-        let mut open: Vec<TraceEvent> = Vec::new();
-        let mut events = Vec::new();
-        for &(op, id) in ops {
-            let id = IDS[id];
-            let event = match (op, open.last()) {
-                (0, _) => TraceEvent::Call { proc: ProcId(id) },
-                (1, _) => TraceEvent::LoopEnter {
-                    loop_id: LoopId(id),
-                },
-                (2, Some(&TraceEvent::LoopEnter { loop_id })) => TraceEvent::LoopIter { loop_id },
-                (3, Some(&TraceEvent::Call { proc })) => TraceEvent::Return { proc },
-                (3, Some(&TraceEvent::LoopEnter { loop_id })) => TraceEvent::LoopExit { loop_id },
-                (5, _) => TraceEvent::Return { proc: ProcId(id) },
-                (6, _) => TraceEvent::LoopExit {
-                    loop_id: LoopId(id),
-                },
-                (7, _) => TraceEvent::LoopIter {
-                    loop_id: LoopId(id),
-                },
-                _ => TraceEvent::BlockExec {
-                    block: BlockId(id),
-                    instrs: 3,
-                    base_cpi: 1.0,
-                },
-            };
-            match (op, event) {
-                (_, TraceEvent::Call { .. } | TraceEvent::LoopEnter { .. }) => open.push(event),
-                (3, _) => {
-                    open.pop();
-                }
-                _ => {}
-            }
-            events.push((3 * events.len() as u64, event));
-        }
-        while let Some(event) = open.pop() {
-            let close = match event {
-                TraceEvent::Call { proc } => TraceEvent::Return { proc },
-                TraceEvent::LoopEnter { loop_id } => TraceEvent::LoopExit { loop_id },
-                _ => unreachable!("only opens are kept"),
-            };
-            events.push((3 * events.len() as u64, close));
-        }
-        events
     }
 
     /// Markers biased toward edges the stream can traverse: `kind`
@@ -882,6 +928,37 @@ mod tests {
                 runtime.on_batch(batch);
             }
             prop_assert_eq!(runtime.into_firings(), oracle_firings(&set, &events));
+        }
+
+        /// The runtime fires the same markers on a stream and on its
+        /// call-loop subsequence (what `spm_sim::run` delivers to it),
+        /// whether the loop's markers sit in its dense table or, for
+        /// huge loop ids, are looked up in the set; on damaged streams
+        /// too, where the oracle drops unmatched closes as the walk does.
+        #[test]
+        fn runtime_fires_alike_on_the_call_loop_subsequence(
+            ops in proptest::collection::vec((0u8..8, 0usize..IDS.len()), 0..400),
+            specs in proptest::collection::vec(
+                (0u8..5, 0usize..IDS.len(), 0u8..4, 0u64..5),
+                0..24,
+            ),
+            cut in 1usize..64,
+        ) {
+            let events = event_stream(&ops);
+            let control: Vec<(u64, TraceEvent)> =
+                events.iter().copied().filter(|(_, e)| !e.is_data()).collect();
+            let set = marker_set(&specs);
+            let mut full = MarkerRuntime::new(&set);
+            for batch in events.chunks(cut) {
+                full.on_batch(batch);
+            }
+            let mut sub = MarkerRuntime::new(&set);
+            for batch in control.chunks(cut) {
+                sub.on_batch(batch);
+            }
+            let full = full.into_firings();
+            prop_assert_eq!(&full, &sub.into_firings());
+            prop_assert_eq!(full, oracle_firings(&set, &events));
         }
 
         /// With every edge of the lenient profiler's graph as a marker,

@@ -15,7 +15,7 @@
 //! [`MarkerRuntime`]: crate::MarkerRuntime
 
 use crate::error::{FrameLabel, ProfileError};
-use crate::graph::{CallLoopGraph, NodeId, NodeKey};
+use crate::graph::{CallLoopGraph, EdgeId, NodeId, NodeKey};
 use spm_ir::LoopId;
 use spm_sim::{TraceEvent, TraceObserver};
 
@@ -47,12 +47,15 @@ pub(crate) trait Walker {
 
     fn node(&mut self, key: NodeKey) -> Self::Node;
 
-    /// The edge `from -> to` is entered at `icount`.
+    /// The key of a node [`node`](Self::node) returned.
+    fn key(&self, node: Self::Node) -> NodeKey;
+
+    /// The edge `from -> to` is entered at `icount`; not called for
+    /// `head -> body` of a loop (see [`iterate`](Self::iterate)).
     fn enter(&mut self, _from: Self::Node, _to: Self::Node, _icount: u64) {}
 
     /// Iteration `index` (from 0) of the current entry of `loop_id`
-    /// starts at `icount`, right after its `head -> body` edge is
-    /// entered.
+    /// starts at `icount`: its `head -> body` edge is entered.
     fn iterate(&mut self, _loop_id: LoopId, _index: u64, _icount: u64) {}
 
     /// `frame` is closed by its matching event at `icount`.
@@ -69,8 +72,9 @@ pub(crate) trait Walker {
     ///   `head(p) -> body(p)`, both left at the matching `Return`;
     /// * `LoopEnter l` (from context `c`): enters `c -> head(l)`, left
     ///   at `LoopExit`;
-    /// * `LoopIter l`: enters `head(l) -> body(l)`, left at the next
-    ///   iteration or at `LoopExit`.
+    /// * `LoopIter l`: enters `head(l) -> body(l)` (reported by
+    ///   [`iterate`](Self::iterate)), left at the next iteration or at
+    ///   `LoopExit`.
     #[inline]
     fn walk(&mut self, icount: u64, event: &TraceEvent) {
         match *event {
@@ -91,23 +95,28 @@ pub(crate) trait Walker {
                 self.open(FrameLabel::LoopHead, ctx, head, icount);
             }
             TraceEvent::LoopIter { loop_id } => {
-                let head = self.node(NodeKey::LoopHead(loop_id));
-                let body = self.node(NodeKey::LoopBody(loop_id));
+                let body = NodeKey::LoopBody(loop_id);
                 // The next iteration of the innermost loop leaves and
-                // re-enters `head -> body` in its frame, with no pop and
-                // push: `LoopIter` is the most frequent control event.
-                let index = match self.stack().last_mut() {
-                    Some(top) if top.label == FrameLabel::LoopBody && top.to == body => {
-                        let last = *top;
-                        top.start = icount;
-                        top.iter += 1;
+                // re-enters `head -> body` in its frame, found by key:
+                // no node lookup, pop or push for the most frequent
+                // control event.
+                let top = self.stack().last().copied();
+                let index = match top {
+                    Some(last)
+                        if last.label == FrameLabel::LoopBody && self.key(last.to) == body =>
+                    {
+                        if let Some(top) = self.stack().last_mut() {
+                            top.start = icount;
+                            top.iter += 1;
+                        }
                         self.leave(last, icount);
-                        self.enter(head, body, icount);
                         last.iter + 1
                     }
                     _ => {
+                        let head = self.node(NodeKey::LoopHead(loop_id));
+                        let body = self.node(body);
                         self.close_iteration(icount);
-                        self.open(FrameLabel::LoopBody, head, body, icount);
+                        self.push(FrameLabel::LoopBody, head, body, icount);
                         0
                     }
                 };
@@ -128,7 +137,7 @@ pub(crate) trait Walker {
     }
 
     #[inline]
-    fn open(&mut self, label: FrameLabel, from: Self::Node, to: Self::Node, icount: u64) {
+    fn push(&mut self, label: FrameLabel, from: Self::Node, to: Self::Node, icount: u64) {
         self.stack().push(Frame {
             label,
             from,
@@ -136,6 +145,11 @@ pub(crate) trait Walker {
             start: icount,
             iter: 0,
         });
+    }
+
+    #[inline]
+    fn open(&mut self, label: FrameLabel, from: Self::Node, to: Self::Node, icount: u64) {
+        self.push(label, from, to, icount);
         self.enter(from, to, icount);
     }
 
@@ -166,13 +180,22 @@ pub(crate) trait Walker {
 /// Walks the call-loop context shared with the marker runtime (see the
 /// [module docs](self)) and records
 /// one traversal of each edge when it is left, annotated with the
-/// hierarchical instruction count elapsed since it was entered.
+/// hierarchical instruction count elapsed since it was entered. A loop
+/// iteration or a return closes a `head -> body` edge whose id is cached
+/// per body node, so neither hashes a node or an edge.
+///
+/// It reads every event (the default [`TraceObserver::reads_data`]):
+/// [`events`](Self::events) counts the full stream.
 ///
 /// See the crate-level example for usage.
 #[derive(Debug, Clone)]
 pub struct CallLoopProfiler {
     graph: CallLoopGraph,
     stack: CallStack<NodeId>,
+    /// The `head -> body` edge into each body node, by node index, once
+    /// its first close has created it. A body node has no other
+    /// incoming edge, and ids are still assigned at first close.
+    body_edges: Vec<Option<EdgeId>>,
     /// Events seen so far (for error context).
     events: u64,
     /// First corruption observed. The [`TraceObserver`] interface has
@@ -200,6 +223,7 @@ impl CallLoopProfiler {
         Self {
             graph: CallLoopGraph::new(),
             stack: Vec::new(),
+            body_edges: Vec::new(),
             events: 0,
             fault: None,
             lenient: false,
@@ -311,9 +335,34 @@ impl Walker for CallLoopProfiler {
         self.graph.intern(key)
     }
 
+    #[inline]
+    fn key(&self, node: NodeId) -> NodeKey {
+        self.graph.node(node).key
+    }
+
+    #[inline]
     fn leave(&mut self, frame: Frame<NodeId>, icount: u64) {
-        let instrs = icount.saturating_sub(frame.start);
-        self.graph.record_traversal(frame.from, frame.to, instrs);
+        let edge = match frame.label {
+            FrameLabel::LoopBody | FrameLabel::ProcBody => {
+                let slot = frame.to.index();
+                match self.body_edges.get(slot) {
+                    Some(&Some(edge)) => edge,
+                    _ => {
+                        let edge = self.graph.intern_edge(frame.from, frame.to);
+                        if self.body_edges.len() <= slot {
+                            self.body_edges.resize(slot + 1, None);
+                        }
+                        self.body_edges[slot] = Some(edge);
+                        edge
+                    }
+                }
+            }
+            FrameLabel::LoopHead | FrameLabel::ProcHead => {
+                self.graph.intern_edge(frame.from, frame.to)
+            }
+        };
+        self.graph
+            .record_edge(edge, icount.saturating_sub(frame.start));
     }
 
     fn unmatched(&mut self, closing: FrameLabel, found: Option<FrameLabel>) {
@@ -626,6 +675,181 @@ mod tests {
         let lenient = lenient.into_graph().unwrap();
         assert_eq!(strict.nodes().len(), lenient.nodes().len());
         assert_eq!(strict.edges().len(), lenient.edges().len());
+    }
+
+    /// The profiler as it was before body edges were cached: it
+    /// re-interns both loop nodes on every `LoopIter` and looks up every
+    /// edge it closes. The reference the caching profiler must match.
+    #[derive(Default)]
+    struct HashProfiler {
+        graph: CallLoopGraph,
+        stack: Vec<Frame<NodeId>>,
+        events: u64,
+        fault: Option<ProfileError>,
+        lenient: bool,
+        tolerated: u64,
+    }
+
+    impl HashProfiler {
+        fn new(lenient: bool) -> Self {
+            Self {
+                graph: CallLoopGraph::new(),
+                lenient,
+                ..Self::default()
+            }
+        }
+
+        fn push(&mut self, label: FrameLabel, from: NodeId, to: NodeId, start: u64) {
+            self.stack.push(Frame {
+                label,
+                from,
+                to,
+                start,
+                iter: 0,
+            });
+        }
+
+        fn close(&mut self, label: FrameLabel, icount: u64) {
+            match self.stack.last().copied() {
+                Some(frame) if frame.label == label => {
+                    self.stack.pop();
+                    let instrs = icount.saturating_sub(frame.start);
+                    self.graph.record_traversal(frame.from, frame.to, instrs);
+                }
+                _ if self.lenient => self.tolerated += 1,
+                found => {
+                    self.fault.get_or_insert(ProfileError::MismatchedFrame {
+                        closing: label,
+                        found: found.map(|f| f.label),
+                        at_event: self.events - 1,
+                    });
+                }
+            }
+        }
+
+        fn close_iteration(&mut self, icount: u64) {
+            if self.stack.last().map(|f| f.label) == Some(FrameLabel::LoopBody) {
+                self.close(FrameLabel::LoopBody, icount);
+            }
+        }
+
+        fn step(&mut self, icount: u64, event: &TraceEvent) {
+            self.events += 1;
+            let root = self.graph.root();
+            let ctx = self.stack.last().map_or(root, |f| f.to);
+            match *event {
+                TraceEvent::Call { proc } => {
+                    let head = self.graph.intern(NodeKey::ProcHead(proc));
+                    let body = self.graph.intern(NodeKey::ProcBody(proc));
+                    self.push(FrameLabel::ProcHead, ctx, head, icount);
+                    self.push(FrameLabel::ProcBody, head, body, icount);
+                }
+                TraceEvent::Return { .. } => {
+                    self.close(FrameLabel::ProcBody, icount);
+                    self.close(FrameLabel::ProcHead, icount);
+                }
+                TraceEvent::LoopEnter { loop_id } => {
+                    let head = self.graph.intern(NodeKey::LoopHead(loop_id));
+                    self.push(FrameLabel::LoopHead, ctx, head, icount);
+                }
+                TraceEvent::LoopIter { loop_id } => {
+                    let head = self.graph.intern(NodeKey::LoopHead(loop_id));
+                    let body = self.graph.intern(NodeKey::LoopBody(loop_id));
+                    match self.stack.last_mut() {
+                        Some(top) if top.label == FrameLabel::LoopBody && top.to == body => {
+                            let instrs = icount.saturating_sub(top.start);
+                            top.start = icount;
+                            self.graph.record_traversal(head, body, instrs);
+                        }
+                        _ => {
+                            self.close_iteration(icount);
+                            self.push(FrameLabel::LoopBody, head, body, icount);
+                        }
+                    }
+                }
+                TraceEvent::LoopExit { .. } => {
+                    self.close_iteration(icount);
+                    self.close(FrameLabel::LoopHead, icount);
+                }
+                _ => {}
+            }
+        }
+
+        fn into_graph(mut self) -> Result<CallLoopGraph, ProfileError> {
+            if let Some(fault) = self.fault {
+                return Err(fault);
+            }
+            if !self.stack.is_empty() && !self.lenient {
+                return Err(ProfileError::UnbalancedStack {
+                    depth: self.stack.len(),
+                    at_event: self.events.saturating_sub(1),
+                });
+            }
+            self.stack.clear();
+            Ok(self.graph)
+        }
+    }
+
+    /// An edge's id, ends and stats (count, then the floats' bits).
+    type EdgeParts = (u32, u32, u32, [u64; 5]);
+
+    /// Node ids and keys, and edge ids, ends and stats to the bit.
+    fn graph_parts(graph: &CallLoopGraph) -> (Vec<Node>, Vec<EdgeParts>) {
+        let edges = graph
+            .edges()
+            .iter()
+            .map(|e| {
+                let (count, a, b, c, d) = e.stats.into_parts();
+                let bits = [count, a.to_bits(), b.to_bits(), c.to_bits(), d.to_bits()];
+                (e.id.0, e.from.0, e.to.0, bits)
+            })
+            .collect();
+        (graph.nodes().to_vec(), edges)
+    }
+
+    use crate::graph::Node;
+    use crate::test_streams::{event_stream, IDS};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The profiler that caches `head -> body` edges and finds the
+        /// innermost iteration by key builds the same graph as the
+        /// one that looks everything up, with the same ids, stats,
+        /// damage counts and faults, strict and lenient, however the
+        /// stream is cut or damaged.
+        #[test]
+        fn caching_profiler_matches_the_hash_per_event_profiler(
+            ops in proptest::collection::vec((0u8..8, 0usize..IDS.len()), 0..400),
+            cut in 1usize..64,
+            lenient in any::<bool>(),
+        ) {
+            let events = event_stream(&ops);
+            let mut profiler = if lenient {
+                CallLoopProfiler::lenient()
+            } else {
+                CallLoopProfiler::new()
+            };
+            let mut reference = HashProfiler::new(lenient);
+            for batch in events.chunks(cut) {
+                profiler.on_batch(batch);
+                for (icount, event) in batch {
+                    reference.step(*icount, event);
+                }
+                prop_assert_eq!(profiler.fault(), reference.fault);
+                prop_assert_eq!(profiler.tolerated(), reference.tolerated);
+                prop_assert_eq!(profiler.dangling_frames(), reference.stack.len());
+                prop_assert_eq!(profiler.events(), reference.events);
+            }
+            prop_assert_eq!(graph_parts(profiler.graph()), graph_parts(&reference.graph));
+            match (profiler.into_graph(), reference.into_graph()) {
+                (Ok(graph), Ok(expected)) => {
+                    prop_assert_eq!(graph_parts(&graph), graph_parts(&expected));
+                }
+                (graph, expected) => prop_assert_eq!(graph.err(), expected.err()),
+            }
+        }
     }
 
     #[test]

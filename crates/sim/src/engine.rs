@@ -71,6 +71,15 @@ impl std::error::Error for RunError {}
 /// handed to every observer's [`on_batch`](TraceObserver::on_batch) —
 /// the same delivery `spm-store` replay and the serve analyzer use.
 ///
+/// When no observer [reads data events](TraceObserver::reads_data),
+/// data events are not built: the observers get exactly the call-loop
+/// subsequence of the full stream (every event for which
+/// [`TraceEvent::is_data`] is false, `Finish` included), with the same
+/// icounts. Every block, access and branch still executes, so random
+/// draws, the returned [`RunSummary`] and the `sim/run` span's `events`
+/// count are those of the full run; the span's `delivered` field counts
+/// the events the observers were handed.
+///
 /// Execution is fully deterministic: the same program and input (same
 /// seed) produce the identical event stream on every run — the property
 /// the two-pass analyses (profile, then re-run with markers) rely on.
@@ -118,6 +127,7 @@ pub fn run(
         span.field("program", program.name());
         span.field("instrs", engine.summary.instrs);
         span.field("events", engine.events);
+        span.field("delivered", engine.delivered);
         let secs = span.elapsed().as_secs_f64();
         if secs > 0.0 {
             spm_obs::gauge("sim/events_per_sec", engine.events as f64 / secs);
@@ -130,6 +140,9 @@ struct Engine<'p, 'o, 'a> {
     program: &'p Program,
     input: &'p Input,
     observers: &'o mut [&'a mut dyn TraceObserver],
+    /// Whether any observer reads data events; if none does, they are
+    /// counted but never built.
+    data: bool,
     /// Events not yet delivered, in order (at most [`ARENA_EVENTS`]).
     arena: Vec<(u64, TraceEvent)>,
     rng: SmallRng,
@@ -143,8 +156,10 @@ struct Engine<'p, 'o, 'a> {
     cursor_base: Vec<u32>,
     /// Execution counters for periodic branches.
     branch_execs: Vec<u64>,
-    /// Trace events emitted so far (observability only).
+    /// Trace events of the full stream so far (observability only).
     events: u64,
+    /// Events handed to the observers so far (observability only).
+    delivered: u64,
     summary: RunSummary,
 }
 
@@ -193,10 +208,12 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
             total += count;
         }
 
+        let data = observers.iter().any(|obs| obs.reads_data());
         Ok(Self {
             program,
             input,
             observers,
+            data,
             arena: Vec::with_capacity(ARENA_EVENTS),
             rng: SmallRng::seed_from_u64(input.seed() ^ 0x5eed_cafe_f00d_u64),
             icount: 0,
@@ -206,12 +223,19 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
             cursor_base,
             branch_execs: vec![0; program.branch_count()],
             events: 0,
+            delivered: 0,
             summary: RunSummary::default(),
         })
     }
 
+    /// Counts `event` and buffers it, unless it is a data event and no
+    /// observer reads those.
+    #[inline]
     fn emit(&mut self, event: TraceEvent) {
         self.events += 1;
+        if !self.data && event.is_data() {
+            return;
+        }
         self.arena.push((self.icount, event));
         if self.arena.len() == ARENA_EVENTS {
             self.flush();
@@ -224,6 +248,7 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
         if self.arena.is_empty() {
             return;
         }
+        self.delivered += self.arena.len() as u64;
         for obs in self.observers.iter_mut() {
             obs.on_batch(&self.arena);
         }
@@ -501,6 +526,55 @@ mod tests {
         assert_eq!(seen.last().unwrap().0, summary.instrs);
         assert!(batches.sizes.len() > 1);
         assert!(batches.sizes.iter().all(|&n| n > 0 && n <= ARENA_EVENTS));
+    }
+
+    /// Records what it is handed; reads call-loop events only.
+    #[derive(Default)]
+    struct CallLoopTape(Vec<(u64, TraceEvent)>);
+
+    impl TraceObserver for CallLoopTape {
+        fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+            self.0.extend_from_slice(batch);
+        }
+
+        fn reads_data(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn call_loop_observers_get_the_call_loop_subsequence() {
+        // Random accesses and branches draw from the RNG, so skipped
+        // data events must still be executed for the streams to agree.
+        let mut b = ProgramBuilder::new("t");
+        let r = b.region_bytes("d", 1 << 12);
+        b.proc("main", |p| {
+            p.loop_(Trip::Uniform { lo: 1000, hi: 1500 }, |body| {
+                body.block(3).rand_read(r, 4).seq_read(r, 2).done();
+                body.if_prob(0.5, |t| t.call("leaf"), |e| e.block(1).done());
+            });
+        });
+        b.proc("leaf", |p| p.block(2).hot_read(r, 3, 10).done());
+        let program = b.build("main").unwrap();
+        let input = Input::new("x", 11);
+
+        let mut full: Vec<(u64, TraceEvent)> = Vec::new();
+        let full_summary = run(&program, &input, &mut [&mut full]).unwrap();
+        let mut control = CallLoopTape::default();
+        let summary = run(&program, &input, &mut [&mut control]).unwrap();
+        assert_eq!(summary, full_summary);
+        let expected: Vec<(u64, TraceEvent)> =
+            full.iter().copied().filter(|(_, e)| !e.is_data()).collect();
+        assert!(expected.len() > ARENA_EVENTS && expected.len() < full.len());
+        assert_eq!(control.0, expected);
+
+        // One observer that reads data gets every observer the full
+        // stream.
+        let mut mixed = CallLoopTape::default();
+        let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
+        run(&program, &input, &mut [&mut mixed, &mut tape]).unwrap();
+        assert_eq!(tape, full);
+        assert_eq!(mixed.0, full);
     }
 
     #[test]

@@ -65,6 +65,20 @@ pub enum TraceEvent {
     Finish,
 }
 
+impl TraceEvent {
+    /// Whether this is a data event — [`BlockExec`](Self::BlockExec),
+    /// [`MemAccess`](Self::MemAccess) or [`Branch`](Self::Branch) — as
+    /// opposed to a call-loop event (`Call`, `Return`, `Loop*`,
+    /// `Finish`). See [`TraceObserver::reads_data`].
+    #[inline]
+    pub fn is_data(&self) -> bool {
+        matches!(
+            self,
+            TraceEvent::BlockExec { .. } | TraceEvent::MemAccess { .. } | TraceEvent::Branch { .. }
+        )
+    }
+}
+
 /// Consumes the trace stream of one execution.
 ///
 /// Implementations are the reproduction's equivalent of ATOM analysis
@@ -91,6 +105,29 @@ pub trait TraceObserver {
     /// [`on_batch`]: TraceObserver::on_batch
     fn on_event(&mut self, icount: u64, event: &TraceEvent) {
         self.on_batch(std::slice::from_ref(&(icount, *event)));
+    }
+
+    /// Whether this observer reads data events
+    /// ([`TraceEvent::is_data`]). The default, `true`, asks for the
+    /// full stream.
+    ///
+    /// An observer that acts only on call-loop events returns `false`.
+    /// When every observer of a [`run`](crate::run) does, the engine
+    /// skips building data events and delivers exactly the call-loop
+    /// subsequence of the full stream, with the same icounts; it still
+    /// executes every block and access, so the [`RunSummary`] is the
+    /// same. One observer that keeps the default gets every observer
+    /// the full stream. Other producers (store replay, serve) always
+    /// deliver the full stream, so an observer that opts out must still
+    /// accept data events.
+    ///
+    /// Wrappers keep the default rather than forward their inner
+    /// observer's answer: a wrapper that counts or perturbs events by
+    /// position (`FaultObserver`) needs positions in the full stream.
+    ///
+    /// [`RunSummary`]: crate::RunSummary
+    fn reads_data(&self) -> bool {
+        true
     }
 }
 

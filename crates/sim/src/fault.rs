@@ -74,6 +74,10 @@ pub enum FaultKind {
 /// Trace observer that forwards a deterministically perturbed event
 /// stream to an inner observer.
 ///
+/// It keeps the default [`TraceObserver::reads_data`] whatever its inner
+/// observer reads: fault positions are drawn per event of the full
+/// stream, so a run handing it only call-loop events would move them.
+///
 /// # Examples
 ///
 /// Feeding a profiler a stream with dropped returns must yield a typed
