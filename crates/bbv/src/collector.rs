@@ -1,7 +1,7 @@
 //! Collecting one BBV per execution interval.
 
 use crate::vector::BbvBuilder;
-use spm_sim::{TraceEvent, TraceObserver};
+use spm_sim::{Reads, TraceEvent, TraceObserver};
 
 /// How execution is cut into intervals.
 #[derive(Debug, Clone)]
@@ -50,7 +50,8 @@ impl IntervalBbv {
 }
 
 /// Trace observer that cuts execution into intervals and collects one
-/// BBV per interval.
+/// BBV per interval. It reads [`Reads::BLOCKS`]: a BBV counts blocks,
+/// and the cuts fall at block starts and at `Finish`.
 ///
 /// # Examples
 ///
@@ -200,6 +201,10 @@ impl TraceObserver for IntervalBbvCollector {
         for (icount, event) in batch {
             self.step(*icount, event);
         }
+    }
+
+    fn reads(&self) -> Reads {
+        Reads::BLOCKS
     }
 }
 

@@ -10,7 +10,7 @@
 //! comparison be reproduced.
 
 use spm_ir::Program;
-use spm_sim::{TraceEvent, TraceObserver};
+use spm_sim::{Reads, TraceEvent, TraceObserver};
 
 /// Which control structures contribute dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,6 +170,12 @@ impl TraceObserver for CodeSignatureCollector {
         for (icount, event) in batch {
             self.step(*icount, event);
         }
+    }
+
+    /// Signatures count calls, returns and iterations; blocks place the
+    /// interval cuts.
+    fn reads(&self) -> Reads {
+        Reads::BLOCKS
     }
 }
 

@@ -1,16 +1,19 @@
 //! Microbenchmarks of the core algorithms, including the paper's claim
 //! that marker selection "runs in seconds on every call-loop graph":
-//! graph construction from a trace, marker detection, the two selection
-//! passes, Sequitur, reuse-distance tracking, k-means, and cache
-//! simulation.
+//! graph construction from a trace, marker detection, BBV collection,
+//! the two selection passes, Sequitur, reuse-distance tracking,
+//! k-means, and cache simulation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spm_bench::{ILOWER, LIMIT_MAX, LIMIT_MIN};
+use spm_bbv::{Boundaries, IntervalBbvCollector};
+use spm_bench::{BBV_FIXED, ILOWER, LIMIT_MAX, LIMIT_MIN};
 use spm_cache::{Cache, CacheConfig};
 use spm_core::predict::{MarkovPredictor, PhasePredictor};
-use spm_core::{select_markers, CallLoopProfiler, MarkerRuntime, SelectConfig};
+use spm_core::{
+    partition, select_markers, CallLoopProfiler, MarkerRuntime, SelectConfig, PRELUDE_PHASE,
+};
 use spm_reuse::{detect_boundaries, sequitur, ReuseTracker};
 use spm_sim::{run, TraceEvent, TraceObserver};
 use spm_simpoint::kmeans;
@@ -64,6 +67,36 @@ fn bench_callloop_profile(c: &mut Criterion) {
             )
             .unwrap();
             by_plain.into_firings().len() + by_limit.into_firings().len()
+        })
+    });
+    group.finish();
+
+    // SimPoint's two BBV collectors, fixed-length and cut by the limit
+    // markers' intervals, fed live by the simulator, which hands them
+    // only blocks and call-loop events.
+    let mut runtime = MarkerRuntime::new(&limit);
+    let total = run(&w.program, &w.ref_input, &mut [&mut runtime])
+        .unwrap()
+        .instrs;
+    let cuts: Vec<(u64, usize)> = partition(&runtime.into_firings(), total)
+        .iter()
+        .skip(1)
+        .map(|v| (v.begin, v.phase))
+        .collect();
+    let mut group = c.benchmark_group("bbv");
+    group.throughput(Throughput::Elements(tape.len() as u64));
+    group.bench_function("collect_gzip_ref_live", |b| {
+        b.iter(|| {
+            let mut fixed = IntervalBbvCollector::new(&w.program, Boundaries::Fixed(BBV_FIXED));
+            let mut vli = IntervalBbvCollector::new(
+                &w.program,
+                Boundaries::Explicit {
+                    cuts: cuts.clone(),
+                    prelude_phase: PRELUDE_PHASE,
+                },
+            );
+            run(&w.program, &w.ref_input, &mut [&mut fixed, &mut vli]).unwrap();
+            fixed.into_intervals().len() + vli.into_intervals().len()
         })
     });
     group.finish();

@@ -5,7 +5,7 @@ use crate::GRANULE;
 use spm_cache::{reconfigurable_configs, CacheBank};
 use spm_core::{CallLoopGraph, CallLoopProfiler, SpmError};
 use spm_ir::{Input, Program};
-use spm_sim::{run, Timeline, TraceEvent, TraceObserver};
+use spm_sim::{run, Reads, Timeline, TraceEvent, TraceObserver};
 
 /// Profiles one execution into a call-loop graph.
 ///
@@ -125,6 +125,10 @@ impl TraceObserver for BankTimeline {
             self.step(event);
         }
     }
+
+    fn reads(&self) -> Reads {
+        Reads::BLOCKS | Reads::MEM
+    }
 }
 
 #[cfg(test)]
@@ -175,6 +179,28 @@ mod tests {
         assert_eq!(bank.accesses(0, 100_000), 100 * 20 * 2);
         // Monotone in config size.
         assert!(whole.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    /// Reads the full stream and drops it.
+    struct Rider;
+
+    impl TraceObserver for Rider {
+        fn on_batch(&mut self, _: &[(u64, TraceEvent)]) {}
+    }
+
+    #[test]
+    fn bank_timeline_matches_a_full_stream_rider_on_every_ref_run() {
+        // Alone, the timeline is handed blocks and accesses only.
+        for w in spm_workloads::suite() {
+            let mut alone = BankTimeline::new(GRANULE);
+            run(&w.program, &w.ref_input, &mut [&mut alone]).unwrap();
+            let mut ridden = BankTimeline::new(GRANULE);
+            run(&w.program, &w.ref_input, &mut [&mut ridden, &mut Rider]).unwrap();
+            assert!(alone.access_snaps.len() > 1, "{}", w.name);
+            assert_eq!(alone.miss_snaps, ridden.miss_snaps, "{}", w.name);
+            assert_eq!(alone.access_snaps, ridden.access_snaps, "{}", w.name);
+            assert_eq!(alone.instrs, ridden.instrs, "{}", w.name);
+        }
     }
 
     #[test]

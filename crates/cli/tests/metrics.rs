@@ -3,8 +3,10 @@
 //! every `--metrics` line validates against the spm-obs event schema
 //! and that the documented per-stage events are present.
 
+use spm_ir::parse_workload;
 use spm_obs::jsonl::{validate_line, Json};
-use std::path::PathBuf;
+use spm_sim::{run, Reads, TraceEvent, TraceObserver};
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn spm(args: &[&str]) -> Output {
@@ -161,13 +163,68 @@ fn every_workload_emits_schema_valid_partition_metrics() {
             "{file}: histogram buckets disagree with count"
         );
         assert!(count > 0, "{file}: partition produced no intervals");
-        // The marked run carries a timing timeline, which reads data
-        // events, so both runs are handed the full stream.
+        // The profiling run (a profiler alone, on `train`) is handed
+        // the call-loop events only; the marked run carries a timing
+        // timeline, which reads every kind, so it gets the full stream.
         let runs = sim_runs(&events, "cli/partition/sim/run");
-        assert_eq!(runs.len(), 2, "{file}: profiling and marked runs");
-        assert!(
-            runs.iter().all(|(events, delivered)| delivered == events),
-            "{file}: {runs:?}"
+        let (train, reference) = (kinds(file, "train"), kinds(file, "ref"));
+        assert_eq!(
+            runs,
+            vec![
+                (train.events as f64, train.call_loop as f64),
+                (reference.events as f64, reference.events as f64),
+            ],
+            "{file}: (events, delivered) of the profiling and marked runs"
+        );
+    }
+}
+
+/// Events of one run by kind, counted in-process over the full stream.
+#[derive(Default)]
+struct Kinds {
+    events: u64,
+    blocks: u64,
+    call_loop: u64,
+}
+
+impl TraceObserver for Kinds {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        for (_, event) in batch {
+            self.events += 1;
+            match Reads::of(event) {
+                Reads::NONE => self.call_loop += 1,
+                Reads::BLOCKS => self.blocks += 1,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Counts the events of a workload file's `input` run by kind.
+fn kinds(file: &str, input: &str) -> Kinds {
+    let parsed = parse_workload(&std::fs::read_to_string(Path::new(file)).expect("workload"))
+        .expect("workload parses");
+    let mut kinds = Kinds::default();
+    let input = parsed.input(input).expect("input exists");
+    run(&parsed.program, input, &mut [&mut kinds]).expect("workload runs");
+    kinds
+}
+
+#[test]
+fn live_simpoint_runs_are_handed_blocks_and_call_loop_events() {
+    for (i, file) in workload_files().iter().enumerate() {
+        let file = file.to_str().expect("utf-8 path");
+        let events = metrics_of("simpoint", file, &[], &format!("simpoint{i}"));
+        // The BBV collector reads blocks only.
+        let runs = sim_runs(&events, "cli/simpoint/sim/run");
+        let reference = kinds(file, "ref");
+        assert_eq!(
+            runs,
+            vec![(
+                reference.events as f64,
+                (reference.blocks + reference.call_loop) as f64
+            )],
+            "{file}: (events, delivered) of the BBV run"
         );
     }
 }
@@ -190,11 +247,14 @@ fn marker_only_runs_are_handed_call_loop_events() {
     for (i, file) in workload_files().iter().enumerate() {
         let file = file.to_str().expect("utf-8 path");
         let events = metrics_of("structure", file, &[], &format!("struct{i}"));
-        // The profiling run reads every event; the marked run, a marker
-        // runtime alone, is handed only the call-loop events.
+        // The profiling run, a profiler alone, and the marked run, a
+        // marker runtime alone, are handed only the call-loop events.
         let runs = sim_runs(&events, "cli/structure/sim/run");
         assert_eq!(runs.len(), 2, "{file}: profiling and marked runs");
-        assert_eq!(runs[0].1, runs[0].0, "{file}: profiling run {runs:?}");
+        assert!(
+            runs[0].1 > 0.0 && runs[0].1 < runs[0].0,
+            "{file}: profiling run {runs:?}"
+        );
         assert!(
             runs[1].1 > 0.0 && runs[1].1 < runs[1].0,
             "{file}: marked run {runs:?}"

@@ -22,6 +22,16 @@ use std::fmt;
 /// event stream was corrupted (a truncated or bit-flipped trace file, a
 /// faulty instrumentation layer dropping returns or duplicating loop
 /// back-edges).
+///
+/// `at_event` indexes the full stream as the profiler counts it: events
+/// delivered plus events a filtering producer reported
+/// [withheld](spm_sim::TraceObserver::withheld). A producer reports a
+/// batch's withheld events before the batch, so on a filtered stream an
+/// error inside a batch names an index past the offending event by the
+/// events withheld between it and the batch's last event (the index of
+/// the batch's last event at most). The engine, the one producer that
+/// filters, never emits a stream the profiler faults on; store replay
+/// and serve deliver the full stream, where the index is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileError {
     /// The trace ended with call/loop frames still open (e.g. a `Call`

@@ -4,7 +4,7 @@
 use crate::graph::NodeKey;
 use crate::profile::{CallStack, Walker};
 use spm_ir::LoopId;
-use spm_sim::{FastMap, TraceEvent, TraceObserver};
+use spm_sim::{FastMap, Reads, TraceEvent, TraceObserver};
 use std::fmt;
 
 /// One software phase marker: a point in the binary that, when executed,
@@ -146,8 +146,8 @@ pub struct MarkerFiring {
 /// [`new`](Self::new), with no hashing.
 ///
 /// It acts on call-loop events only and says so through
-/// [`TraceObserver::reads_data`], so `spm_sim::run` hands a run whose
-/// observers are all marker runtimes only those events.
+/// [`TraceObserver::reads`] ([`Reads::NONE`]), so `spm_sim::run` hands
+/// a run whose observers read nothing more only those events.
 #[derive(Debug, Clone)]
 pub struct MarkerRuntime<'m> {
     markers: &'m MarkerSet,
@@ -278,8 +278,8 @@ impl TraceObserver for MarkerRuntime<'_> {
 
     /// Markers are call-loop edges: the runtime acts on call-loop
     /// events only.
-    fn reads_data(&self) -> bool {
-        false
+    fn reads(&self) -> Reads {
+        Reads::NONE
     }
 }
 
@@ -946,7 +946,7 @@ mod tests {
         ) {
             let events = event_stream(&ops);
             let control: Vec<(u64, TraceEvent)> =
-                events.iter().copied().filter(|(_, e)| !e.is_data()).collect();
+                events.iter().copied().filter(|(_, e)| Reads::NONE.admits(e)).collect();
             let set = marker_set(&specs);
             let mut full = MarkerRuntime::new(&set);
             for batch in events.chunks(cut) {

@@ -17,7 +17,7 @@
 use crate::error::{FrameLabel, ProfileError};
 use crate::graph::{CallLoopGraph, EdgeId, NodeId, NodeKey};
 use spm_ir::LoopId;
-use spm_sim::{TraceEvent, TraceObserver};
+use spm_sim::{Reads, TraceEvent, TraceObserver};
 
 /// One open frame of the shadow stack: a traversal of `from -> to`.
 #[derive(Debug, Clone, Copy)]
@@ -184,8 +184,11 @@ pub(crate) trait Walker {
 /// iteration or a return closes a `head -> body` edge whose id is cached
 /// per body node, so neither hashes a node or an edge.
 ///
-/// It reads every event (the default [`TraceObserver::reads_data`]):
-/// [`events`](Self::events) counts the full stream.
+/// It reads no data event kind ([`Reads::NONE`]), so `spm_sim::run`
+/// hands a run whose observers read nothing more only the call-loop
+/// events. It still accepts the full stream (store replay, serve), and
+/// [`events`](Self::events) counts the full stream either way: events
+/// a producer withheld are added as it reports them.
 ///
 /// See the crate-level example for usage.
 #[derive(Debug, Clone)]
@@ -196,7 +199,8 @@ pub struct CallLoopProfiler {
     /// its first close has created it. A body node has no other
     /// incoming edge, and ids are still assigned at first close.
     body_edges: Vec<Option<EdgeId>>,
-    /// Events seen so far (for error context).
+    /// Events of the full stream so far, delivered or withheld (for
+    /// error context).
     events: u64,
     /// First corruption observed. The [`TraceObserver`] interface has
     /// no error channel, so a corrupted event stream poisons the
@@ -260,7 +264,8 @@ impl CallLoopProfiler {
         self.stack.len()
     }
 
-    /// Events consumed so far.
+    /// Events of the full stream so far: those delivered plus those a
+    /// filtering producer reported [withheld](TraceObserver::withheld).
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -385,6 +390,15 @@ impl TraceObserver for CallLoopProfiler {
             self.events += 1;
             self.walk(*icount, event);
         }
+    }
+
+    /// The graph is built from call-loop events alone.
+    fn reads(&self) -> Reads {
+        Reads::NONE
+    }
+
+    fn withheld(&mut self, events: u64) {
+        self.events += events;
     }
 }
 

@@ -7,7 +7,7 @@ use crate::sequitur::Sequitur;
 use crate::tracker::ReuseTracker;
 use spm_core::MarkerFiring;
 use spm_ir::BlockId;
-use spm_sim::{FastMap, TraceEvent, TraceObserver};
+use spm_sim::{FastMap, Reads, TraceEvent, TraceObserver};
 use std::collections::HashMap;
 
 /// Parameters of the locality-phase analysis.
@@ -124,6 +124,10 @@ impl TraceObserver for ReuseSignalCollector {
         for (icount, event) in batch {
             self.step(*icount, event);
         }
+    }
+
+    fn reads(&self) -> Reads {
+        Reads::BLOCKS | Reads::MEM
     }
 }
 
@@ -381,6 +385,10 @@ impl TraceObserver for ReuseMarkerRuntime {
         for (icount, event) in batch {
             self.step(*icount, event);
         }
+    }
+
+    fn reads(&self) -> Reads {
+        Reads::BLOCKS
     }
 }
 

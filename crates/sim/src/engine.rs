@@ -1,10 +1,10 @@
 //! The interpreter: walks a program's statement tree and emits the trace
 //! event stream.
 
-use crate::events::{TraceEvent, TraceObserver};
+use crate::events::{Reads, TraceEvent, TraceObserver};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spm_ir::{AccessPattern, Block, Cond, Input, Program, Stmt, Trip};
+use spm_ir::{AccessPattern, Block, Cond, Input, MemRef, Program, Stmt, Trip};
 use std::fmt;
 
 /// Maximum procedure-call nesting depth. Calls beyond this depth are
@@ -71,14 +71,19 @@ impl std::error::Error for RunError {}
 /// handed to every observer's [`on_batch`](TraceObserver::on_batch) —
 /// the same delivery `spm-store` replay and the serve analyzer use.
 ///
-/// When no observer [reads data events](TraceObserver::reads_data),
-/// data events are not built: the observers get exactly the call-loop
-/// subsequence of the full stream (every event for which
-/// [`TraceEvent::is_data`] is false, `Finish` included), with the same
-/// icounts. Every block, access and branch still executes, so random
+/// Only the data event kinds some observer [reads](TraceObserver::reads)
+/// are built: every observer gets the full stream filtered to the union
+/// of their sets (call-loop events and `Finish` always), with the same
+/// icounts, and before each batch learns through
+/// [`withheld`](TraceObserver::withheld) how many events it was not
+/// handed. Every block, access and branch still executes, so random
 /// draws, the returned [`RunSummary`] and the `sim/run` span's `events`
 /// count are those of the full run; the span's `delivered` field counts
-/// the events the observers were handed.
+/// the events the observers were handed. When no observer reads
+/// `MemAccess`, sequential and pointer-chase addresses are not computed
+/// (their cursors are seen only through addresses, so they stay put);
+/// random and hotspot addresses are drawn and dropped, to keep the RNG
+/// in step.
 ///
 /// Execution is fully deterministic: the same program and input (same
 /// seed) produce the identical event stream on every run — the property
@@ -126,11 +131,12 @@ pub fn run(
     if span.is_live() {
         span.field("program", program.name());
         span.field("instrs", engine.summary.instrs);
-        span.field("events", engine.events);
+        let events = engine.delivered + engine.withheld_total;
+        span.field("events", events);
         span.field("delivered", engine.delivered);
         let secs = span.elapsed().as_secs_f64();
         if secs > 0.0 {
-            spm_obs::gauge("sim/events_per_sec", engine.events as f64 / secs);
+            spm_obs::gauge("sim/events_per_sec", events as f64 / secs);
         }
     }
     Ok(engine.summary)
@@ -140,9 +146,9 @@ struct Engine<'p, 'o, 'a> {
     program: &'p Program,
     input: &'p Input,
     observers: &'o mut [&'a mut dyn TraceObserver],
-    /// Whether any observer reads data events; if none does, they are
+    /// The data event kinds some observer reads; the others are
     /// counted but never built.
-    data: bool,
+    reads: Reads,
     /// Events not yet delivered, in order (at most [`ARENA_EVENTS`]).
     arena: Vec<(u64, TraceEvent)>,
     rng: SmallRng,
@@ -156,8 +162,10 @@ struct Engine<'p, 'o, 'a> {
     cursor_base: Vec<u32>,
     /// Execution counters for periodic branches.
     branch_execs: Vec<u64>,
-    /// Trace events of the full stream so far (observability only).
-    events: u64,
+    /// Events of the full stream withheld since the last batch.
+    withheld: u64,
+    /// Events withheld over the run (observability only).
+    withheld_total: u64,
     /// Events handed to the observers so far (observability only).
     delivered: u64,
     summary: RunSummary,
@@ -208,12 +216,14 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
             total += count;
         }
 
-        let data = observers.iter().any(|obs| obs.reads_data());
+        let reads = observers
+            .iter()
+            .fold(Reads::NONE, |set, obs| set | obs.reads());
         Ok(Self {
             program,
             input,
             observers,
-            data,
+            reads,
             arena: Vec::with_capacity(ARENA_EVENTS),
             rng: SmallRng::seed_from_u64(input.seed() ^ 0x5eed_cafe_f00d_u64),
             icount: 0,
@@ -222,34 +232,36 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
             cursors: vec![0; total as usize],
             cursor_base,
             branch_execs: vec![0; program.branch_count()],
-            events: 0,
+            withheld: 0,
+            withheld_total: 0,
             delivered: 0,
             summary: RunSummary::default(),
         })
     }
 
-    /// Counts `event` and buffers it, unless it is a data event and no
-    /// observer reads those.
+    /// Buffers `event` for delivery.
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
-        self.events += 1;
-        if !self.data && event.is_data() {
-            return;
-        }
         self.arena.push((self.icount, event));
         if self.arena.len() == ARENA_EVENTS {
             self.flush();
         }
     }
 
-    /// Hands the buffered events to every observer and empties the
-    /// arena; never delivers an empty batch.
+    /// Hands the buffered events to every observer, after the count of
+    /// events withheld since the last batch, and empties the arena;
+    /// never delivers an empty batch.
     fn flush(&mut self) {
         if self.arena.is_empty() {
             return;
         }
+        let withheld = std::mem::take(&mut self.withheld);
+        self.withheld_total += withheld;
         self.delivered += self.arena.len() as u64;
         for obs in self.observers.iter_mut() {
+            if withheld > 0 {
+                obs.withheld(withheld);
+            }
             obs.on_batch(&self.arena);
         }
         self.arena.clear();
@@ -282,10 +294,14 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
                 }
                 Stmt::If(i) => {
                     let taken = self.eval_cond(&i.cond, i.id.index());
-                    self.emit(TraceEvent::Branch {
-                        branch: i.id,
-                        taken,
-                    });
+                    if self.reads.contains(Reads::BRANCHES) {
+                        self.emit(TraceEvent::Branch {
+                            branch: i.id,
+                            taken,
+                        });
+                    } else {
+                        self.withheld += 1;
+                    }
                     let body = if taken { &i.then_body } else { &i.else_body };
                     self.exec_stmts(body, depth);
                 }
@@ -297,20 +313,45 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
         self.icount += block.instrs as u64;
         self.summary.instrs += block.instrs as u64;
         self.summary.blocks += 1;
-        self.emit(TraceEvent::BlockExec {
-            block: block.id,
-            instrs: block.instrs,
-            base_cpi: block.base_cpi,
-        });
+        let reads = self.reads;
+        if reads.contains(Reads::BLOCKS) {
+            self.emit(TraceEvent::BlockExec {
+                block: block.id,
+                instrs: block.instrs,
+                base_cpi: block.base_cpi,
+            });
+        } else {
+            self.withheld += 1;
+        }
+        let cursor_base = self.cursor_base[block.id.index()] as usize;
         for (j, mem) in block.mem.iter().enumerate() {
-            let cursor_idx = self.cursor_base[block.id.index()] as usize + j;
+            self.summary.mem_accesses += u64::from(mem.count);
+            if !reads.contains(Reads::MEM) {
+                self.withheld += u64::from(mem.count);
+                self.skip_addrs(mem, cursor_base + j);
+                continue;
+            }
             for _ in 0..mem.count {
-                let addr = self.next_addr(mem.region.index(), mem.pattern, cursor_idx);
-                self.summary.mem_accesses += 1;
+                let addr = self.next_addr(mem.region.index(), mem.pattern, cursor_base + j);
                 self.emit(TraceEvent::MemAccess {
                     addr,
                     write: mem.write,
                 });
+            }
+        }
+    }
+
+    /// Draws from the RNG what `mem.count` accesses of `mem` draw,
+    /// without building the events nobody reads. Sequential and
+    /// pointer-chase cursors are seen only through addresses, so they
+    /// stay put.
+    fn skip_addrs(&mut self, mem: &MemRef, cursor_idx: usize) {
+        match mem.pattern {
+            AccessPattern::Sequential { .. } | AccessPattern::PointerChase => {}
+            AccessPattern::Random | AccessPattern::Hotspot { .. } => {
+                for _ in 0..mem.count {
+                    self.next_addr(mem.region.index(), mem.pattern, cursor_idx);
+                }
             }
         }
     }
@@ -528,22 +569,40 @@ mod tests {
         assert!(batches.sizes.iter().all(|&n| n > 0 && n <= ARENA_EVENTS));
     }
 
-    /// Records what it is handed; reads call-loop events only.
-    #[derive(Default)]
-    struct CallLoopTape(Vec<(u64, TraceEvent)>);
+    /// Records what it is handed and the events withheld; reads the
+    /// kinds in `reads`.
+    struct KindTape {
+        reads: Reads,
+        events: Vec<(u64, TraceEvent)>,
+        withheld: u64,
+    }
 
-    impl TraceObserver for CallLoopTape {
+    impl KindTape {
+        fn new(reads: Reads) -> Self {
+            Self {
+                reads,
+                events: Vec::new(),
+                withheld: 0,
+            }
+        }
+    }
+
+    impl TraceObserver for KindTape {
         fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
-            self.0.extend_from_slice(batch);
+            self.events.extend_from_slice(batch);
         }
 
-        fn reads_data(&self) -> bool {
-            false
+        fn reads(&self) -> Reads {
+            self.reads
+        }
+
+        fn withheld(&mut self, events: u64) {
+            self.withheld += events;
         }
     }
 
     #[test]
-    fn call_loop_observers_get_the_call_loop_subsequence() {
+    fn observers_get_the_union_of_the_kinds_they_read() {
         // Random accesses and branches draw from the RNG, so skipped
         // data events must still be executed for the streams to agree.
         let mut b = ProgramBuilder::new("t");
@@ -560,21 +619,77 @@ mod tests {
 
         let mut full: Vec<(u64, TraceEvent)> = Vec::new();
         let full_summary = run(&program, &input, &mut [&mut full]).unwrap();
-        let mut control = CallLoopTape::default();
-        let summary = run(&program, &input, &mut [&mut control]).unwrap();
-        assert_eq!(summary, full_summary);
-        let expected: Vec<(u64, TraceEvent)> =
-            full.iter().copied().filter(|(_, e)| !e.is_data()).collect();
-        assert!(expected.len() > ARENA_EVENTS && expected.len() < full.len());
-        assert_eq!(control.0, expected);
+        let kinds = [Reads::NONE, Reads::BLOCKS, Reads::MEM, Reads::BRANCHES];
+        for (a, b) in kinds.into_iter().flat_map(|a| kinds.map(|b| (a, b))) {
+            let (mut first, mut second) = (KindTape::new(a), KindTape::new(b));
+            let summary = run(&program, &input, &mut [&mut first, &mut second]).unwrap();
+            assert_eq!(summary, full_summary);
+            let expected: Vec<(u64, TraceEvent)> = full
+                .iter()
+                .copied()
+                .filter(|(_, e)| (a | b).admits(e))
+                .collect();
+            assert!(expected.len() > ARENA_EVENTS);
+            for tape in [first, second] {
+                assert_eq!(tape.events, expected, "{a:?} next to {b:?}");
+                assert_eq!(tape.withheld, (full.len() - expected.len()) as u64);
+            }
+        }
 
-        // One observer that reads data gets every observer the full
-        // stream.
-        let mut mixed = CallLoopTape::default();
+        // One observer that reads every kind gets every observer the
+        // full stream, and nothing is withheld.
+        let mut mixed = KindTape::new(Reads::NONE);
         let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
         run(&program, &input, &mut [&mut mixed, &mut tape]).unwrap();
         assert_eq!(tape, full);
-        assert_eq!(mixed.0, full);
+        assert_eq!(mixed.events, full);
+        assert_eq!(mixed.withheld, 0);
+    }
+
+    #[test]
+    fn withheld_counts_precede_the_batch_they_belong_to() {
+        // The count reported before a batch, plus the batch, covers the
+        // full stream up to the batch's last event.
+        struct Positions {
+            seen: u64,
+            ends: Vec<(u64, (u64, TraceEvent))>,
+        }
+        impl TraceObserver for Positions {
+            fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+                self.seen += batch.len() as u64;
+                self.ends.push((self.seen, *batch.last().unwrap()));
+            }
+            fn reads(&self) -> Reads {
+                Reads::NONE
+            }
+            fn withheld(&mut self, events: u64) {
+                self.seen += events;
+            }
+        }
+        let mut b = ProgramBuilder::new("t");
+        let r = b.region_bytes("d", 1 << 12);
+        b.proc("main", |p| {
+            p.loop_(Trip::Fixed(3000), |body| {
+                body.block(3).rand_read(r, 2).done();
+                body.call("leaf");
+            });
+        });
+        b.proc("leaf", |p| p.block(2).done());
+        let program = b.build("main").unwrap();
+        let input = Input::new("x", 2);
+        let mut full: Vec<(u64, TraceEvent)> = Vec::new();
+        run(&program, &input, &mut [&mut full]).unwrap();
+        let mut positions = Positions {
+            seen: 0,
+            ends: Vec::new(),
+        };
+        run(&program, &input, &mut [&mut positions]).unwrap();
+        assert!(positions.ends.len() > 1);
+        for (seen, last) in positions.ends {
+            // The batch's last event is the `seen`-th of the full stream.
+            assert_eq!(full[seen as usize - 1], last);
+        }
+        assert_eq!(positions.seen, full.len() as u64);
     }
 
     #[test]

@@ -65,17 +65,72 @@ pub enum TraceEvent {
     Finish,
 }
 
-impl TraceEvent {
-    /// Whether this is a data event — [`BlockExec`](Self::BlockExec),
-    /// [`MemAccess`](Self::MemAccess) or [`Branch`](Self::Branch) — as
-    /// opposed to a call-loop event (`Call`, `Return`, `Loop*`,
-    /// `Finish`). See [`TraceObserver::reads_data`].
+/// A set of data event kinds: [`BlockExec`](TraceEvent::BlockExec),
+/// [`MemAccess`](TraceEvent::MemAccess) and
+/// [`Branch`](TraceEvent::Branch). Call-loop events (`Call`, `Return`,
+/// `Loop*`) and `Finish` are in no set: every producer delivers them.
+///
+/// An observer names the kinds it reads through
+/// [`TraceObserver::reads`]; [`run`](crate::run) builds only the union
+/// of its observers' sets.
+///
+/// # Examples
+///
+/// ```
+/// use spm_ir::{BlockId, ProcId};
+/// use spm_sim::{Reads, TraceEvent};
+///
+/// let block = TraceEvent::BlockExec { block: BlockId(0), instrs: 4, base_cpi: 1.0 };
+/// assert!(Reads::BLOCKS.admits(&block));
+/// assert!(!Reads::MEM.admits(&block));
+/// assert!(Reads::NONE.admits(&TraceEvent::Call { proc: ProcId(1) }));
+/// assert_eq!(Reads::BLOCKS | Reads::MEM | Reads::BRANCHES, Reads::ALL);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reads(u8);
+
+impl Reads {
+    /// No data events: the call-loop subsequence of the stream.
+    pub const NONE: Reads = Reads(0);
+    /// [`BlockExec`](TraceEvent::BlockExec).
+    pub const BLOCKS: Reads = Reads(1);
+    /// [`MemAccess`](TraceEvent::MemAccess).
+    pub const MEM: Reads = Reads(1 << 1);
+    /// [`Branch`](TraceEvent::Branch).
+    pub const BRANCHES: Reads = Reads(1 << 2);
+    /// Every kind: the full stream.
+    pub const ALL: Reads = Reads(0b111);
+
+    /// The kind of `event` as a set: one kind for a data event, empty
+    /// for a call-loop event or `Finish`.
     #[inline]
-    pub fn is_data(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::BlockExec { .. } | TraceEvent::MemAccess { .. } | TraceEvent::Branch { .. }
-        )
+    pub fn of(event: &TraceEvent) -> Reads {
+        match event {
+            TraceEvent::BlockExec { .. } => Reads::BLOCKS,
+            TraceEvent::MemAccess { .. } => Reads::MEM,
+            TraceEvent::Branch { .. } => Reads::BRANCHES,
+            _ => Reads::NONE,
+        }
+    }
+
+    /// Whether every kind in `other` is in `self`.
+    #[inline]
+    pub const fn contains(self, other: Reads) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// Whether a producer filtering to `self` hands `event` over.
+    #[inline]
+    pub fn admits(self, event: &TraceEvent) -> bool {
+        self.contains(Reads::of(event))
+    }
+}
+
+impl std::ops::BitOr for Reads {
+    type Output = Reads;
+
+    fn bitor(self, other: Reads) -> Reads {
+        Reads(self.0 | other.0)
     }
 }
 
@@ -107,28 +162,35 @@ pub trait TraceObserver {
         self.on_batch(std::slice::from_ref(&(icount, *event)));
     }
 
-    /// Whether this observer reads data events
-    /// ([`TraceEvent::is_data`]). The default, `true`, asks for the
-    /// full stream.
+    /// The data event kinds this observer reads. The default,
+    /// [`Reads::ALL`], asks for the full stream.
     ///
-    /// An observer that acts only on call-loop events returns `false`.
-    /// When every observer of a [`run`](crate::run) does, the engine
-    /// skips building data events and delivers exactly the call-loop
-    /// subsequence of the full stream, with the same icounts; it still
-    /// executes every block and access, so the [`RunSummary`] is the
-    /// same. One observer that keeps the default gets every observer
-    /// the full stream. Other producers (store replay, serve) always
-    /// deliver the full stream, so an observer that opts out must still
-    /// accept data events.
+    /// [`run`](crate::run) asks every observer once and builds only the
+    /// union of their sets; every observer of the run is handed that
+    /// union, so one that reads more than another gets the other the
+    /// kinds it reads too. Call-loop events and `Finish` are always
+    /// delivered, with the icounts of the full stream. Every block,
+    /// access and branch still executes, so the [`RunSummary`] is the
+    /// same whatever is read. Other producers (store replay, serve)
+    /// deliver the full stream, so an observer must still accept every
+    /// kind.
     ///
     /// Wrappers keep the default rather than forward their inner
-    /// observer's answer: a wrapper that counts or perturbs events by
+    /// observer's set: a wrapper that counts or perturbs events by
     /// position (`FaultObserver`) needs positions in the full stream.
     ///
     /// [`RunSummary`]: crate::RunSummary
-    fn reads_data(&self) -> bool {
-        true
+    fn reads(&self) -> Reads {
+        Reads::ALL
     }
+
+    /// Before a batch, a producer that filters the stream reports how
+    /// many events of the full stream it did not hand over since the
+    /// previous batch: those between that batch's last event and this
+    /// batch's last event. The default ignores the count; an observer
+    /// that counts the full stream (`CallLoopProfiler::events`) adds
+    /// it. A producer that withholds nothing never calls it.
+    fn withheld(&mut self, _events: u64) {}
 }
 
 /// Blanket implementation so plain closures can observe traces in tests

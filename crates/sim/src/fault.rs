@@ -74,9 +74,9 @@ pub enum FaultKind {
 /// Trace observer that forwards a deterministically perturbed event
 /// stream to an inner observer.
 ///
-/// It keeps the default [`TraceObserver::reads_data`] whatever its inner
-/// observer reads: fault positions are drawn per event of the full
-/// stream, so a run handing it only call-loop events would move them.
+/// It keeps the default [`TraceObserver::reads`] (every kind) whatever
+/// its inner observer reads, so the inner observer sees the perturbed
+/// full stream and a fault's position is an index into it.
 ///
 /// # Examples
 ///

@@ -9,6 +9,8 @@
 //! profiling, BBV collection, cache simulation, reuse-distance analysis,
 //! marker detection) is an observer, so a single deterministic execution
 //! feeds them all, exactly as one ATOM-instrumented run did in the paper.
+//! Each observer names the data kinds it reads ([`Reads`]), and [`run`]
+//! builds only the kinds some observer reads.
 //!
 //! The crate also provides the baseline machine model:
 //! [`TimingModel`] (in-order core + DL1, optional IL1/L2, 2-bit branch
@@ -56,7 +58,7 @@ mod timeline;
 mod timing;
 
 pub use engine::{run, RunError, RunSummary, MAX_CALL_DEPTH};
-pub use events::{TraceEvent, TraceObserver};
+pub use events::{Reads, TraceEvent, TraceObserver};
 pub use fault::{FaultKind, FaultObserver, SplitMix64, TraceCorruptor};
 pub use hash::{FastMap, FoldHash};
 pub use timeline::{Timeline, TimelineSample};
