@@ -15,7 +15,7 @@
 //!
 //! [`SessionStats::snapshot`]: crate::session::SessionStats::snapshot
 
-use crate::server::{write_http_ok, Shared};
+use crate::server::{lock, write_http_ok, Shared};
 use spm_obs::{Event, EventKind};
 use std::io::Read;
 use std::net::TcpListener;
@@ -40,16 +40,10 @@ pub(crate) fn render(shared: &Shared) -> String {
     ] {
         push(Event::new(name, EventKind::Counter { value }));
     }
-    let sessions: Vec<(String, Vec<(&'static str, u64)>)> = {
-        let registry = match shared.registry.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        registry
-            .iter()
-            .map(|(name, handle)| (name.clone(), handle.stats.snapshot()))
-            .collect()
-    };
+    let sessions: Vec<(String, Vec<(&'static str, u64)>)> = lock(&shared.registry)
+        .iter()
+        .map(|(name, handle)| (name.clone(), handle.stats().snapshot()))
+        .collect();
     for (session, gauges) in sessions {
         for (gauge, value) in gauges {
             push(

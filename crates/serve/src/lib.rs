@@ -16,14 +16,16 @@
 //!
 //! * [`proto`] — the `spmsrv01` wire format: framed messages whose
 //!   `BLOCK` payloads are spmstk01 block frames (the store's own
-//!   checksummed framing), so a byte accepted on the wire is a byte the
-//!   journal can commit verbatim.
+//!   checksummed framing), decoded by the store's own block decoder;
+//!   the journal re-encodes the decoded events through its own writer.
 //! * [`session`] — per-session state: the incremental selector, the
 //!   crash-safe journal (generation files under the serve dir), and
-//!   atomically published stats the health endpoint reads.
+//!   the gauges the analyzer publishes into the session's mailbox,
+//!   where the health endpoint reads them.
 //! * [`server`] — accept loop, session registry (sessions survive
-//!   client disconnects and server restarts), bounded per-session
-//!   queues with typed `BUSY` pushback, and per-session memory budgets.
+//!   client disconnects and server restarts), one lock-guarded mailbox
+//!   per session between its connection and analyzer threads (bounded
+//!   queue with typed `BUSY` pushback, memory budget, deltas, outcome).
 //! * [`health`] — plain HTTP/1.0 `GET` serving current gauges as
 //!   JSONL, every line valid under the `spm-obs` schema.
 //! * [`client`] — the `spm send` side: chunk an event stream into wire

@@ -4,19 +4,25 @@
 //! # Threading
 //!
 //! One accept thread, one optional health thread, and per session a
-//! pair of threads with a bounded queue between them:
+//! pair of threads that share one mailbox: a mutex-guarded record of
+//! the bounded queue, the accepted-events watermark, pending deltas,
+//! the `FIN` request, the session's outcome and the analyzer's last
+//! published gauges, with one condvar for every wake-up.
 //!
 //! * the **connection thread** owns the socket. It decodes and fully
 //!   verifies every frame *before* enqueueing, so protocol violations
 //!   are synchronous typed `ERR` replies; it is the only writer on the
-//!   socket (deltas are drained from the session outbox before each
-//!   reply), and it enforces the queue capacity (`BUSY`) and the
-//!   memory budget (`BUSY` while draining can help, fatal
-//!   `BudgetExceeded` when it cannot).
-//! * the **analyzer thread** drains the queue, journals each batch,
-//!   runs the incremental selection update, and publishes stats and
-//!   deltas. It holds the session core lock only while analyzing, so
-//!   the connection thread always stays responsive.
+//!   socket (deltas are drained from the mailbox before each reply),
+//!   and it enforces the queue capacity (`BUSY`) and the memory budget
+//!   (`BUSY` while draining can help, fatal `BudgetExceeded` when it
+//!   cannot), checking both under the mailbox lock.
+//! * the **analyzer thread** owns the [`SessionCore`]: it pops a batch,
+//!   journals it, runs the incremental selection update with no lock
+//!   held, and publishes the deltas and gauges under one mailbox lock
+//!   per block, so the connection thread always stays responsive.
+//!
+//! The health thread reads each session's gauges from its mailbox;
+//! the lifecycle and queue gauges are derived there, not stored.
 //!
 //! Sessions outlive connections: a disconnect leaves the analyzer and
 //! its state in the registry, and the next `HELLO` with the same name
@@ -27,7 +33,7 @@
 //! finalize and the client's `DONE` read is recoverable, not fatal.
 
 use crate::proto::{self, DeltaMsg, DoneMsg, ErrCode, Message, WireBlock};
-use crate::session::{state, BlockFit, SessionConfig, SessionCore, SessionStats};
+use crate::session::{state, BlockFit, SessionConfig, SessionCore, SessionStats, Watermark};
 use crate::ServeError;
 use spm_sim::TraceEvent;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -84,57 +90,104 @@ pub struct ServeReport {
 /// Locks a mutex, riding through poisoning: a panicked holder left
 /// consistent-enough state for the typed error paths to report on, and
 /// the workspace denies `unwrap`.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-/// The bounded handoff between connection and analyzer threads.
-#[derive(Default)]
-struct Queue {
-    items: VecDeque<Vec<(u64, TraceEvent)>>,
-    bytes: u64,
-    /// `FIN` received: finalize once drained.
-    fin: bool,
-    /// The session failed fatally: analyzer exits without finalizing.
-    aborted: bool,
-    /// The analyzer has exited (after finalize or failure).
-    finished: bool,
+/// How a session's analyzer ended.
+enum Outcome {
+    /// Finalized by `FIN`; the summary is replayed to every later `FIN`.
+    Done(DoneMsg),
+    /// Failed server-side; later blocks, `FIN`s and `HELLO`s are refused.
+    Failed(ServeError),
+    /// The analyzer left on server shutdown.
+    Shutdown,
 }
 
-/// One registered session: stats, analyzer state, queue, outbox.
-pub(crate) struct SessionHandle {
-    pub(crate) stats: SessionStats,
-    core: Mutex<SessionCore>,
-    queue: Mutex<Queue>,
-    /// Wakes the analyzer (new work, fin, abort).
-    work: Condvar,
-    /// Wakes the connection thread (analyzer finished).
-    idle: Condvar,
+/// Everything the connection and analyzer threads of one session hand
+/// each other, behind one lock.
+#[derive(Default)]
+struct Mailbox {
+    /// Accepted blocks awaiting analysis, and the bytes they hold.
+    queue: VecDeque<Vec<(u64, TraceEvent)>>,
+    queued_bytes: u64,
+    /// The accepted-events watermark.
+    accepted: Watermark,
     /// Deltas published by the analyzer, drained by the connection
     /// thread before each reply.
-    outbox: Mutex<Vec<DeltaMsg>>,
-    done: Mutex<Option<DoneMsg>>,
-    failure: Mutex<Option<ServeError>>,
-    /// Accepted-events watermark (duplicate/gap checks without taking
-    /// the core lock, which the analyzer may hold for a while).
-    accepted_events: AtomicU64,
-    accepted_icount: AtomicU64,
+    deltas: Vec<DeltaMsg>,
+    /// `FIN` received: finalize once the queue drains.
+    fin: bool,
+    /// Set once, by whichever thread ends the session.
+    outcome: Option<Outcome>,
+    /// The analyzer's last published gauges, plus the `BUSY` count.
+    figures: SessionStats,
+}
+
+/// One registered session.
+pub(crate) struct SessionHandle {
+    mailbox: Mutex<Mailbox>,
+    /// Wakes the analyzer (new work, `FIN`, failure) and a connection
+    /// waiting on `FIN` (outcome set).
+    wake: Condvar,
     /// At most one connection drives a session at a time.
     attached: AtomicBool,
 }
 
 impl SessionHandle {
-    fn fail(&self, shared: &Shared, error: ServeError) {
-        let mut failure = lock(&self.failure);
-        if failure.is_none() {
-            *failure = Some(error);
-            self.stats.state.store(state::FAILED, Ordering::Relaxed);
-            shared.failed.fetch_add(1, Ordering::Relaxed);
+    /// Records how the session ended (the first outcome wins) and wakes
+    /// both threads.
+    fn settle(&self, shared: &Shared, mailbox: &mut Mailbox, outcome: Outcome) {
+        if mailbox.outcome.is_none() {
+            let counter = match outcome {
+                Outcome::Done(_) => Some(&shared.done),
+                Outcome::Failed(_) => Some(&shared.failed),
+                Outcome::Shutdown => None,
+            };
+            if let Some(counter) = counter {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+            mailbox.outcome = Some(outcome);
+        }
+        self.wake.notify_all();
+    }
+
+    /// Waits for a wake-up or the next shutdown poll.
+    fn wait<'a>(&self, mailbox: MutexGuard<'a, Mailbox>) -> MutexGuard<'a, Mailbox> {
+        match self.wake.wait_timeout(mailbox, POLL) {
+            Ok((guard, _)) => guard,
+            Err(poisoned) => poisoned.into_inner().0,
         }
     }
+
+    /// The session's gauges, with the lifecycle and queue gauges
+    /// derived from the mailbox they describe.
+    pub(crate) fn stats(&self) -> SessionStats {
+        let mailbox = lock(&self.mailbox);
+        SessionStats {
+            state: match mailbox.outcome {
+                Some(Outcome::Done(_)) => state::DONE,
+                Some(Outcome::Failed(_)) => state::FAILED,
+                Some(Outcome::Shutdown) | None => state::LIVE,
+            },
+            queue_len: mailbox.queue.len() as u64,
+            queued_bytes: mailbox.queued_bytes,
+            mem_bytes: mailbox.queued_bytes + mailbox.figures.analysis_bytes,
+            ..mailbox.figures
+        }
+    }
+}
+
+/// Why a `HELLO` could not attach to its session.
+enum AttachError {
+    /// Another connection drives the session or is opening it: a
+    /// transient condition the `HELLO` retry rides out.
+    Attached,
+    /// Any other refusal, sent to the client as this `ERR`.
+    Rejected(ErrCode, String),
 }
 
 /// State shared by every thread of one server.
@@ -145,7 +198,8 @@ pub(crate) struct Shared {
     /// replay) is in flight: the reservation keeps the registry lock
     /// free during the replay, so one session's recovery never stalls
     /// other attaches or the health endpoint. Lock order: `opening`
-    /// before `registry`, never both across a slow operation.
+    /// before `registry` before a session's mailbox, never across a
+    /// slow operation.
     opening: Mutex<HashSet<String>>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) sessions: AtomicU64,
@@ -164,7 +218,7 @@ impl Shared {
     pub(crate) fn report(&self) -> ServeReport {
         let busy = lock(&self.registry)
             .values()
-            .map(|h| h.stats.busy_rejections.load(Ordering::Relaxed))
+            .map(|h| lock(&h.mailbox).figures.busy_rejections)
             .sum();
         ServeReport {
             sessions: self.sessions.load(Ordering::Relaxed),
@@ -182,43 +236,35 @@ impl Shared {
     /// answers `FIN` with the stored `DONE`, so a client that lost its
     /// connection mid-finalize can still collect the summary. Only
     /// `FAILED` sessions reject reattachment.
-    fn attach(
-        self: &Arc<Self>,
-        name: &str,
-    ) -> Result<(Arc<SessionHandle>, bool), (ErrCode, String)> {
+    fn attach(self: &Arc<Self>, name: &str) -> Result<(Arc<SessionHandle>, bool), AttachError> {
         {
             let mut opening = lock(&self.opening);
             let registry = lock(&self.registry);
             if let Some(handle) = registry.get(name) {
                 if handle.attached.swap(true, Ordering::AcqRel) {
-                    return Err((
-                        ErrCode::Internal,
-                        format!("session `{name}` already has a live connection"),
-                    ));
+                    return Err(AttachError::Attached);
                 }
-                let session_state = handle.stats.state.load(Ordering::Relaxed);
-                if session_state == state::FAILED {
+                if matches!(lock(&handle.mailbox).outcome, Some(Outcome::Failed(_))) {
                     handle.attached.store(false, Ordering::Release);
-                    return Err((ErrCode::SessionFailed, format!("session `{name}` failed")));
+                    return Err(AttachError::Rejected(
+                        ErrCode::SessionFailed,
+                        format!("session `{name}` failed"),
+                    ));
                 }
                 return Ok((handle.clone(), true));
             }
             drop(registry);
             if !opening.insert(name.to_string()) {
                 // Another connection is opening this name (possibly a
-                // long journal replay). Report the same transient
-                // condition the HELLO retry loop already rides out.
-                return Err((
-                    ErrCode::Internal,
-                    format!("session `{name}` already has a live connection"),
-                ));
+                // long journal replay): as transient as a live one.
+                return Err(AttachError::Attached);
             }
         }
         // Slow path — journal replay can take a while — runs with no
         // lock held; the `opening` reservation keeps the name ours.
         let result = self.open_session(name);
         lock(&self.opening).remove(name);
-        result
+        result.map_err(|(code, detail)| AttachError::Rejected(code, detail))
     }
 
     /// Opens, registers, and starts the analyzer of a new (or resumed-
@@ -233,24 +279,21 @@ impl Shared {
                 ServeError::Proto(p) => (p.code(), p.to_string()),
                 other => (ErrCode::Internal, other.to_string()),
             })?;
+        let mut figures = SessionStats::default();
+        core.publish(&mut figures);
         let handle = Arc::new(SessionHandle {
-            stats: SessionStats::default(),
-            accepted_events: AtomicU64::new(core.accepted_events),
-            accepted_icount: AtomicU64::new(core.accepted_icount),
-            core: Mutex::new(core),
-            queue: Mutex::new(Queue::default()),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-            outbox: Mutex::new(Vec::new()),
-            done: Mutex::new(None),
-            failure: Mutex::new(None),
+            mailbox: Mutex::new(Mailbox {
+                accepted: resumed.unwrap_or_default(),
+                figures,
+                ..Mailbox::default()
+            }),
+            wake: Condvar::new(),
             attached: AtomicBool::new(true),
         });
-        lock(&handle.core).publish(&handle.stats);
         let spawned = spm_par::spawn_labeled("serve-analyze", name, {
             let shared = self.clone();
             let handle = handle.clone();
-            move || analyzer_loop(&shared, &handle)
+            move || analyzer_loop(&shared, &handle, core)
         });
         if let Err(e) = spawned {
             return Err((
@@ -260,91 +303,46 @@ impl Shared {
         }
         lock(&self.registry).insert(name.to_string(), handle.clone());
         self.sessions.fetch_add(1, Ordering::Relaxed);
-        Ok((handle, resumed))
+        Ok((handle, resumed.is_some()))
     }
 }
 
 /// Drains the session queue, analyzing one batch per iteration;
-/// finalizes on `FIN`, exits on abort or server shutdown.
-fn analyzer_loop(shared: &Shared, handle: &SessionHandle) {
-    loop {
-        let batch = {
-            let mut queue = lock(&handle.queue);
-            loop {
-                if queue.aborted {
-                    queue.finished = true;
-                    handle.idle.notify_all();
-                    return;
-                }
-                if let Some(batch) = queue.items.pop_front() {
-                    queue.bytes = queue.bytes.saturating_sub(batch_bytes(&batch));
-                    handle
-                        .stats
-                        .queue_len
-                        .store(queue.items.len() as u64, Ordering::Relaxed);
-                    handle
-                        .stats
-                        .queued_bytes
-                        .store(queue.bytes, Ordering::Relaxed);
-                    break Some(batch);
-                }
-                if queue.fin {
-                    break None;
-                }
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    queue.finished = true;
-                    handle.idle.notify_all();
-                    return;
-                }
-                queue = match handle.work.wait_timeout(queue, POLL) {
-                    Ok((guard, _)) => guard,
-                    Err(poisoned) => poisoned.into_inner().0,
-                };
+/// finalizes on `FIN`, exits once the session has an outcome or on
+/// server shutdown. The analyzer alone owns the session core, and takes
+/// the mailbox lock once per block: to publish what the last block
+/// produced and to pop the next.
+fn analyzer_loop(shared: &Shared, handle: &SessionHandle, mut core: SessionCore) {
+    let mut mailbox = lock(&handle.mailbox);
+    while mailbox.outcome.is_none() {
+        if let Some(batch) = mailbox.queue.pop_front() {
+            mailbox.queued_bytes -= batch_bytes(&batch);
+            drop(mailbox);
+            let analyzed = core.analyze(&batch);
+            let deltas: Vec<DeltaMsg> = core
+                .outbox
+                .drain(..)
+                .map(|d| DeltaMsg::from_delta(&d))
+                .collect();
+            mailbox = lock(&handle.mailbox);
+            mailbox.deltas.extend(deltas);
+            core.publish(&mut mailbox.figures);
+            if let Err(e) = analyzed {
+                handle.settle(shared, &mut mailbox, Outcome::Failed(e));
             }
-        };
-        match batch {
-            Some(batch) => {
-                let mut core = lock(&handle.core);
-                match core.analyze(&batch) {
-                    Ok(()) => {
-                        let deltas: Vec<DeltaMsg> = core
-                            .outbox
-                            .drain(..)
-                            .map(|d| DeltaMsg::from_delta(&d))
-                            .collect();
-                        core.publish(&handle.stats);
-                        drop(core);
-                        lock(&handle.outbox).extend(deltas);
-                    }
-                    Err(e) => {
-                        drop(core);
-                        handle.fail(shared, e);
-                        let mut queue = lock(&handle.queue);
-                        queue.finished = true;
-                        handle.idle.notify_all();
-                        return;
-                    }
-                }
-                handle.idle.notify_all();
-            }
-            None => {
-                let mut core = lock(&handle.core);
-                let finished = core.finish();
-                core.publish(&handle.stats);
-                drop(core);
-                match finished {
-                    Ok(done) => {
-                        handle.stats.state.store(state::DONE, Ordering::Relaxed);
-                        *lock(&handle.done) = Some(done);
-                        shared.done.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => handle.fail(shared, e),
-                }
-                let mut queue = lock(&handle.queue);
-                queue.finished = true;
-                handle.idle.notify_all();
-                return;
-            }
+        } else if mailbox.fin {
+            drop(mailbox);
+            let outcome = match core.finish() {
+                Ok(done) => Outcome::Done(done),
+                Err(e) => Outcome::Failed(e),
+            };
+            mailbox = lock(&handle.mailbox);
+            core.publish(&mut mailbox.figures);
+            handle.settle(shared, &mut mailbox, outcome);
+        } else if shared.shutdown.load(Ordering::Relaxed) {
+            handle.settle(shared, &mut mailbox, Outcome::Shutdown);
+        } else {
+            mailbox = handle.wait(mailbox);
         }
     }
 }
@@ -393,7 +391,7 @@ fn reply(stream: &TcpStream, msg: &Message) {
 /// Drains pending deltas to the client (called before every reply so
 /// deltas always precede the `ACK`/`DONE` they belong with).
 fn flush_deltas(stream: &TcpStream, handle: &SessionHandle) {
-    let deltas: Vec<DeltaMsg> = lock(&handle.outbox).drain(..).collect();
+    let deltas = std::mem::take(&mut lock(&handle.mailbox).deltas);
     for delta in deltas {
         reply(stream, &Message::Delta(delta));
     }
@@ -413,217 +411,141 @@ fn handle_block(
     stream: &TcpStream,
     block: &WireBlock,
 ) -> Flow {
-    if let Some(failure) = lock(&handle.failure).clone() {
-        flush_deltas(stream, handle);
-        reply(
-            stream,
-            &Message::Err {
-                code: ErrCode::SessionFailed,
-                detail: failure.to_string(),
-            },
-        );
-        return Flow::Close;
-    }
-    let accepted = handle.accepted_events.load(Ordering::Acquire);
-    let skip = match BlockFit::of(&block.meta, accepted) {
-        BlockFit::Duplicate => {
+    let (msg, flow) = match admit(shared, handle, block) {
+        Ok(msg) => (msg, Flow::Continue),
+        Err(msg) => (msg, Flow::Close),
+    };
+    flush_deltas(stream, handle);
+    reply(stream, &msg);
+    flow
+}
+
+/// Decides a block's reply: `Ok` keeps the connection (`ACK`, `BUSY`),
+/// `Err` closes it. The block is decoded outside the mailbox lock; the
+/// watermark is read before and written after, which is safe because
+/// only the attached connection moves it.
+fn admit(shared: &Shared, handle: &SessionHandle, block: &WireBlock) -> Result<Message, Message> {
+    let session_failed = |detail: String| Message::Err {
+        code: ErrCode::SessionFailed,
+        detail,
+    };
+    let skip = {
+        let mailbox = lock(&handle.mailbox);
+        if let Some(Outcome::Failed(failure)) = &mailbox.outcome {
+            return Err(session_failed(failure.to_string()));
+        }
+        let accepted = mailbox.accepted.events;
+        match BlockFit::of(&block.meta, accepted) {
             // A resend from before the watermark (reconnect): already
             // analyzed and journaled, ack it silently.
-            flush_deltas(stream, handle);
-            reply(stream, &Message::Ack { events: accepted });
-            return Flow::Continue;
-        }
-        BlockFit::Gap => {
-            shared.proto_errors.fetch_add(1, Ordering::Relaxed);
-            flush_deltas(stream, handle);
-            reply(
-                stream,
-                &Message::Err {
+            BlockFit::Duplicate => return Ok(Message::Ack { events: accepted }),
+            BlockFit::Gap => {
+                shared.proto_errors.fetch_add(1, Ordering::Relaxed);
+                return Err(Message::Err {
                     code: ErrCode::SequenceGap,
                     detail: format!(
                         "block starts at event {}, watermark is {accepted}",
                         block.meta.first_seq
                     ),
-                },
-            );
-            return Flow::Close;
-        }
-        BlockFit::Fresh { skip } => skip,
-    };
-    let mut fresh = match block.decode_events() {
-        Ok(events) => events,
-        Err(e) => {
-            shared.proto_errors.fetch_add(1, Ordering::Relaxed);
-            flush_deltas(stream, handle);
-            reply(
-                stream,
-                &Message::Err {
-                    code: e.code(),
-                    detail: e.to_string(),
-                },
-            );
-            return Flow::Close;
+                });
+            }
+            BlockFit::Fresh { skip } => skip,
         }
     };
+    let mut fresh = block.decode_events().map_err(|e| {
+        shared.proto_errors.fetch_add(1, Ordering::Relaxed);
+        Message::Err {
+            code: e.code(),
+            detail: e.to_string(),
+        }
+    })?;
     // Drop the sub-watermark prefix of a straddling block (a no-op for
     // any other); the decoded events move into the queue uncopied.
     fresh.drain(..skip.min(fresh.len()));
     let incoming = batch_bytes(&fresh);
-    let mut queue = lock(&handle.queue);
-    if queue.finished {
-        drop(queue);
-        flush_deltas(stream, handle);
-        let detail = if lock(&handle.done).is_some() {
-            "session already finalized; new blocks rejected"
-        } else {
-            "session analyzer has exited"
-        };
-        reply(
-            stream,
-            &Message::Err {
-                code: ErrCode::SessionFailed,
-                detail: detail.to_string(),
-            },
-        );
-        return Flow::Close;
+    let mut mailbox = lock(&handle.mailbox);
+    match mailbox.outcome {
+        Some(Outcome::Done(_)) => {
+            return Err(session_failed(
+                "session already finalized; new blocks rejected".into(),
+            ))
+        }
+        Some(_) => return Err(session_failed("session analyzer has exited".into())),
+        None => {}
     }
     let capacity = shared.config.session.queue_capacity.max(1);
-    let queued = queue.items.len();
+    let queued = mailbox.queue.len();
+    let busy = Message::Busy {
+        queued: queued as u64,
+        capacity: capacity as u64,
+    };
     if queued >= capacity {
-        drop(queue);
-        handle.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-        flush_deltas(stream, handle);
-        reply(
-            stream,
-            &Message::Busy {
-                queued: queued as u64,
-                capacity: capacity as u64,
-            },
-        );
-        return Flow::Continue;
+        mailbox.figures.busy_rejections += 1;
+        return Ok(busy);
     }
-    // The analyzer publishes its state estimate as its own gauge, so
-    // this check never subtracts two gauges written at different
-    // instants (a stale pair could turn transient backpressure into
-    // the fatal path below); `queue.bytes` is read under the queue
-    // lock held here.
-    let analysis = handle.stats.analysis_bytes.load(Ordering::Relaxed);
-    if analysis + queue.bytes + incoming > shared.config.session.mem_budget {
+    // The analyzer's state estimate and the queued bytes are read under
+    // the one lock that also guards the queue.
+    let budget = shared.config.session.mem_budget;
+    if mailbox.figures.analysis_bytes + mailbox.queued_bytes + incoming > budget {
         if queued > 0 {
             // Draining the queue may shrink usage below budget: this
             // is backpressure, not failure.
-            drop(queue);
-            handle.stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            flush_deltas(stream, handle);
-            reply(
-                stream,
-                &Message::Busy {
-                    queued: queued as u64,
-                    capacity: capacity as u64,
-                },
-            );
-            return Flow::Continue;
+            mailbox.figures.busy_rejections += 1;
+            return Ok(busy);
         }
         // Queue empty and still over budget: no amount of waiting
         // helps. Fail the session.
-        queue.aborted = true;
-        drop(queue);
-        handle.work.notify_all();
-        let detail = format!(
-            "accepting {incoming} bytes would exceed the {}-byte session budget",
-            shared.config.session.mem_budget
-        );
-        handle.fail(
-            shared,
-            ServeError::Rejected {
-                code: ErrCode::BudgetExceeded,
-                detail: detail.clone(),
-            },
-        );
-        flush_deltas(stream, handle);
-        reply(
-            stream,
-            &Message::Err {
-                code: ErrCode::BudgetExceeded,
-                detail,
-            },
-        );
-        return Flow::Close;
+        let detail =
+            format!("accepting {incoming} bytes would exceed the {budget}-byte session budget");
+        let failure = ServeError::Rejected {
+            code: ErrCode::BudgetExceeded,
+            detail: detail.clone(),
+        };
+        handle.settle(shared, &mut mailbox, Outcome::Failed(failure));
+        return Err(Message::Err {
+            code: ErrCode::BudgetExceeded,
+            detail,
+        });
     }
-    queue.bytes += incoming;
-    queue.items.push_back(fresh);
-    handle
-        .stats
-        .queue_len
-        .store(queue.items.len() as u64, Ordering::Relaxed);
-    handle
-        .stats
-        .queued_bytes
-        .store(queue.bytes, Ordering::Relaxed);
-    drop(queue);
-    let new_watermark = block.meta.end_seq();
-    handle
-        .accepted_events
-        .store(new_watermark, Ordering::Release);
-    handle
-        .accepted_icount
-        .store(block.meta.end_icount, Ordering::Release);
-    handle.work.notify_all();
-    flush_deltas(stream, handle);
-    reply(
-        stream,
-        &Message::Ack {
-            events: new_watermark,
-        },
-    );
-    Flow::Continue
+    mailbox.queued_bytes += incoming;
+    mailbox.queue.push_back(fresh);
+    mailbox.accepted = Watermark {
+        events: block.meta.end_seq(),
+        icount: block.meta.end_icount,
+    };
+    handle.wake.notify_all();
+    Ok(Message::Ack {
+        events: mailbox.accepted.events,
+    })
 }
 
 /// Handles `FIN`: waits (with shutdown polling) for the analyzer to
 /// drain and finalize, then streams remaining deltas and `DONE`.
 fn handle_fin(shared: &Shared, handle: &SessionHandle, stream: &TcpStream) -> Flow {
-    {
-        let mut queue = lock(&handle.queue);
-        queue.fin = true;
-    }
-    handle.work.notify_all();
-    loop {
-        if let Some(failure) = lock(&handle.failure).clone() {
-            flush_deltas(stream, handle);
-            reply(
-                stream,
-                &Message::Err {
-                    code: match &failure {
+    let mut mailbox = lock(&handle.mailbox);
+    mailbox.fin = true;
+    handle.wake.notify_all();
+    let msg = loop {
+        match &mailbox.outcome {
+            Some(Outcome::Done(done)) => break Message::Done(done.clone()),
+            Some(Outcome::Failed(failure)) => {
+                break Message::Err {
+                    code: match failure {
                         ServeError::Rejected { code, .. } => *code,
                         _ => ErrCode::SessionFailed,
                     },
                     detail: failure.to_string(),
-                },
-            );
-            return Flow::Close;
+                }
+            }
+            Some(Outcome::Shutdown) => return Flow::Close,
+            None if shared.shutdown.load(Ordering::Relaxed) => return Flow::Close,
+            None => mailbox = handle.wait(mailbox),
         }
-        if let Some(done) = lock(&handle.done).clone() {
-            flush_deltas(stream, handle);
-            reply(stream, &Message::Done(done));
-            return Flow::Close;
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return Flow::Close;
-        }
-        let queue = lock(&handle.queue);
-        if queue.finished {
-            // Analyzer exited without a done or failure record: only
-            // possible on shutdown; fall through to the checks above.
-            drop(queue);
-            std::thread::yield_now();
-            continue;
-        }
-        let waited = match handle.idle.wait_timeout(queue, POLL) {
-            Ok((guard, _)) => guard,
-            Err(poisoned) => poisoned.into_inner().0,
-        };
-        drop(waited);
-    }
+    };
+    drop(mailbox);
+    flush_deltas(stream, handle);
+    reply(stream, &msg);
+    Flow::Close
 }
 
 /// Drives one client connection from `HELLO` to close.
@@ -665,29 +587,34 @@ fn connection_loop(shared: &Arc<Shared>, stream: &TcpStream) {
     // rejecting the HELLO.
     let mut attached = shared.attach(&name);
     for _ in 0..100 {
-        match &attached {
-            Err((ErrCode::Internal, detail))
-                if detail.contains("live connection")
-                    && !shared.shutdown.load(Ordering::Relaxed) =>
-            {
-                std::thread::sleep(Duration::from_millis(10));
-                attached = shared.attach(&name);
-            }
-            _ => break,
+        if !matches!(attached, Err(AttachError::Attached))
+            || shared.shutdown.load(Ordering::Relaxed)
+        {
+            break;
         }
+        std::thread::sleep(Duration::from_millis(10));
+        attached = shared.attach(&name);
     }
     let (handle, resumed) = match attached {
         Ok(attached) => attached,
-        Err((code, detail)) => {
+        Err(refusal) => {
+            let (code, detail) = match refusal {
+                AttachError::Attached => (
+                    ErrCode::Internal,
+                    format!("session `{name}` already has a live connection"),
+                ),
+                AttachError::Rejected(code, detail) => (code, detail),
+            };
             reply(stream, &Message::Err { code, detail });
             return;
         }
     };
+    let accepted = lock(&handle.mailbox).accepted;
     reply(
         stream,
         &Message::Welcome {
-            events: handle.accepted_events.load(Ordering::Acquire),
-            icount: handle.accepted_icount.load(Ordering::Acquire),
+            events: accepted.events,
+            icount: accepted.icount,
             resumed,
         },
     );
@@ -808,7 +735,7 @@ impl Server {
             addr,
             health_addr,
             accept: Some(accept),
-            health: Some(health).flatten(),
+            health,
         })
     }
 
@@ -831,9 +758,7 @@ impl Server {
     /// A point-in-time snapshot of the named session's gauges, when
     /// the session exists (tests assert budgets through this).
     pub fn session_stats(&self, name: &str) -> Option<SessionStats> {
-        lock(&self.shared.registry)
-            .get(name)
-            .map(|h| snapshot_stats(&h.stats))
+        lock(&self.shared.registry).get(name).map(|h| h.stats())
     }
 
     /// Blocks until `expect` sessions completed (when configured) or
@@ -855,56 +780,26 @@ impl Server {
 
     /// Shuts down, joins the service threads, and reports totals.
     pub fn stop(mut self) -> ServeReport {
-        self.shutdown();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        if let Some(health) = self.health.take() {
-            let _ = health.join();
-        }
+        self.join();
         self.shared.report()
+    }
+
+    /// Requests shutdown and joins the accept and health threads.
+    fn join(&mut self) {
+        self.shutdown();
+        for thread in [self.accept.take(), self.health.take()]
+            .into_iter()
+            .flatten()
+        {
+            let _ = thread.join();
+        }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        if let Some(health) = self.health.take() {
-            let _ = health.join();
-        }
+        self.join();
     }
-}
-
-/// Copies the atomic gauges into a fresh stats block (a stable
-/// snapshot for assertions).
-fn snapshot_stats(stats: &SessionStats) -> SessionStats {
-    let out = SessionStats::default();
-    for (name, value) in stats.snapshot() {
-        let field = match name {
-            "state" => &out.state,
-            "blocks" => &out.blocks,
-            "events" => &out.events,
-            "icount" => &out.icount,
-            "updates" => &out.updates,
-            "markers" => &out.markers,
-            "stable_updates" => &out.stable_updates,
-            "converged" => &out.converged,
-            "tolerated_events" => &out.tolerated_events,
-            "dangling_frames" => &out.dangling_frames,
-            "mem_bytes" => &out.mem_bytes,
-            "analysis_bytes" => &out.analysis_bytes,
-            "queued_bytes" => &out.queued_bytes,
-            "queue_len" => &out.queue_len,
-            "busy_rejections" => &out.busy_rejections,
-            "journal_events" => &out.journal_events,
-            _ => continue,
-        };
-        field.store(value, Ordering::Relaxed);
-    }
-    out
 }
 
 /// Accepts connections until shutdown, spawning one detached

@@ -1,5 +1,5 @@
 //! Per-session state: the incremental selector, the crash-safe
-//! journal, and atomically published stats.
+//! journal, and the gauges the analyzer publishes.
 //!
 //! A session is keyed by name and outlives any single connection: the
 //! analyzer state stays live across client disconnects, and — when the
@@ -25,7 +25,6 @@ use spm_sim::{TraceEvent, TraceObserver};
 use spm_store::format::BlockMeta;
 use spm_store::{FileIo, StoreReader, StoreWriter, SyncPolicy};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where a block falls against a session's accepted-event watermark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,77 +104,81 @@ pub mod state {
     pub const FAILED: u64 = 2;
 }
 
-/// Lock-free snapshot of one session, read by the health endpoint
-/// while the analyzer is running.
-#[derive(Debug, Default)]
+/// A point-in-time snapshot of one session's gauges, taken under the
+/// session's mailbox lock.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
     /// Lifecycle: see [`state`].
-    pub state: AtomicU64,
-    /// Blocks accepted (enqueued).
-    pub blocks: AtomicU64,
+    pub state: u64,
+    /// Blocks analyzed.
+    pub blocks: u64,
     /// Events analyzed.
-    pub events: AtomicU64,
+    pub events: u64,
     /// Instruction-count watermark of the analyzed stream.
-    pub icount: AtomicU64,
+    pub icount: u64,
     /// Selection updates run.
-    pub updates: AtomicU64,
+    pub updates: u64,
     /// Current marker-set size.
-    pub markers: AtomicU64,
+    pub markers: u64,
     /// Consecutive unchanged updates.
-    pub stable_updates: AtomicU64,
+    pub stable_updates: u64,
     /// 1 once the set has converged (may fall back to 0 if it moves).
-    pub converged: AtomicU64,
+    pub converged: u64,
     /// Tolerated structural mismatches (lenient profiler).
-    pub tolerated_events: AtomicU64,
+    pub tolerated_events: u64,
     /// Frames currently open on the shadow stack.
-    pub dangling_frames: AtomicU64,
+    pub dangling_frames: u64,
     /// Estimated live memory: queued bytes + analysis state.
-    pub mem_bytes: AtomicU64,
+    pub mem_bytes: u64,
     /// Analysis-state estimate alone (selector memory, no queue).
-    /// Published as its own gauge so the budget check never has to
-    /// subtract two gauges written at different instants.
-    pub analysis_bytes: AtomicU64,
+    pub analysis_bytes: u64,
     /// Bytes currently queued (decoded events awaiting analysis).
-    pub queued_bytes: AtomicU64,
+    pub queued_bytes: u64,
     /// Blocks currently queued.
-    pub queue_len: AtomicU64,
+    pub queue_len: u64,
     /// `BUSY` responses sent to this session's client.
-    pub busy_rejections: AtomicU64,
+    pub busy_rejections: u64,
     /// Events durably journaled so far (0 without a journal dir).
-    pub journal_events: AtomicU64,
+    pub journal_events: u64,
 }
 
 impl SessionStats {
-    pub(crate) fn load(&self, field: &AtomicU64) -> u64 {
-        field.load(Ordering::Relaxed)
-    }
-
-    /// Reads every gauge the health endpoint publishes, as
-    /// `(name, value)` pairs.
+    /// Every gauge the health endpoint publishes, as `(name, value)`
+    /// pairs.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         vec![
-            ("state", self.load(&self.state)),
-            ("blocks", self.load(&self.blocks)),
-            ("events", self.load(&self.events)),
-            ("icount", self.load(&self.icount)),
-            ("updates", self.load(&self.updates)),
-            ("markers", self.load(&self.markers)),
-            ("stable_updates", self.load(&self.stable_updates)),
-            ("converged", self.load(&self.converged)),
-            ("tolerated_events", self.load(&self.tolerated_events)),
-            ("dangling_frames", self.load(&self.dangling_frames)),
-            ("mem_bytes", self.load(&self.mem_bytes)),
-            ("analysis_bytes", self.load(&self.analysis_bytes)),
-            ("queued_bytes", self.load(&self.queued_bytes)),
-            ("queue_len", self.load(&self.queue_len)),
-            ("busy_rejections", self.load(&self.busy_rejections)),
-            ("journal_events", self.load(&self.journal_events)),
+            ("state", self.state),
+            ("blocks", self.blocks),
+            ("events", self.events),
+            ("icount", self.icount),
+            ("updates", self.updates),
+            ("markers", self.markers),
+            ("stable_updates", self.stable_updates),
+            ("converged", self.converged),
+            ("tolerated_events", self.tolerated_events),
+            ("dangling_frames", self.dangling_frames),
+            ("mem_bytes", self.mem_bytes),
+            ("analysis_bytes", self.analysis_bytes),
+            ("queued_bytes", self.queued_bytes),
+            ("queue_len", self.queue_len),
+            ("busy_rejections", self.busy_rejections),
+            ("journal_events", self.journal_events),
         ]
     }
 }
 
-/// The analyzer-side state of one session (behind the server's per-
-/// session mutex; the connection and analyzer threads take turns).
+/// How far into its stream a session has accepted events: the point a
+/// reconnecting client resumes from.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Watermark {
+    /// Events accepted.
+    pub events: u64,
+    /// Instruction count at the last accepted event.
+    pub icount: u64,
+}
+
+/// The analyzer-side state of one session, owned by its analyzer
+/// thread.
 pub struct SessionCore {
     /// Session name (registry key, journal file stem).
     pub name: String,
@@ -183,13 +186,9 @@ pub struct SessionCore {
     selector: IncrementalSelector,
     journal: Option<StoreWriter<FileIo>>,
     journal_path: Option<PathBuf>,
-    /// Events accepted into the queue (the reconnect watermark).
-    pub accepted_events: u64,
-    /// Instruction-count watermark of the accepted stream.
-    pub accepted_icount: u64,
     blocks: u64,
     converged_at: u64,
-    /// Pending deltas, drained by the connection thread.
+    /// Deltas of the blocks analyzed since the caller last drained it.
     pub outbox: Vec<SelectionDelta>,
 }
 
@@ -234,7 +233,8 @@ impl SessionCore {
     /// torn last generation (server crash) recovers its committed
     /// prefix through the store reader's frame-walking recovery.
     ///
-    /// Returns the core plus whether journaled state was resumed.
+    /// Returns the core plus, when journaled state was resumed, the
+    /// watermark it reached.
     ///
     /// # Errors
     ///
@@ -243,13 +243,14 @@ impl SessionCore {
     /// rejected here even if a caller skipped the wire-level check);
     /// [`ServeError::Io`] when the journal cannot be created or an
     /// existing generation cannot be read at all.
-    pub fn open(name: &str, config: &SessionConfig) -> Result<(Self, bool), ServeError> {
+    pub fn open(
+        name: &str,
+        config: &SessionConfig,
+    ) -> Result<(Self, Option<Watermark>), ServeError> {
         crate::proto::validate_session_name(name).map_err(ServeError::Proto)?;
         let mut selector = IncrementalSelector::new(config.select, config.converge_after);
-        let mut accepted_events = 0u64;
-        let mut accepted_icount = 0u64;
         let mut blocks = 0u64;
-        let mut resumed = false;
+        let mut resumed: Option<Watermark> = None;
         let mut journal_path = None;
         let journal = if let Some(dir) = &config.dir {
             std::fs::create_dir_all(dir)
@@ -257,10 +258,10 @@ impl SessionCore {
             let (existing, next) = generations(dir, name);
             for path in &existing {
                 let replayed = replay_generation(path, &mut selector)?;
-                accepted_events += replayed.events;
-                accepted_icount = accepted_icount.max(replayed.icount);
+                let watermark = resumed.get_or_insert_with(Watermark::default);
+                watermark.events += replayed.events;
+                watermark.icount = watermark.icount.max(replayed.icount);
                 blocks += replayed.blocks;
-                resumed = true;
             }
             let path = dir.join(format!("{name}.g{next}.spmstk"));
             let sink = FileIo::create(&path)
@@ -280,13 +281,11 @@ impl SessionCore {
             selector,
             journal,
             journal_path,
-            accepted_events,
-            accepted_icount,
             blocks,
             converged_at: 0,
             outbox: Vec::new(),
         };
-        if resumed {
+        if resumed.is_some() {
             // Replay fed the selector block-by-block; fold the replayed
             // stream into one settled update so the watermark and
             // marker set are current before new blocks arrive.
@@ -300,8 +299,7 @@ impl SessionCore {
     }
 
     /// Analyzes one decoded block: journal it, update the selector,
-    /// record convergence, and queue the delta for the connection
-    /// thread.
+    /// record convergence, and push the delta onto [`Self::outbox`].
     ///
     /// # Errors
     ///
@@ -338,44 +336,24 @@ impl SessionCore {
         Ok(())
     }
 
-    /// Publishes the selector/journal state into `stats` (called by the
-    /// analyzer after each block, and at finish).
-    pub fn publish(&self, stats: &SessionStats) {
+    /// Writes the selector and journal gauges into `stats` (called by
+    /// the analyzer after each block, and at finish); the server fills
+    /// in the queue, lifecycle and `BUSY` gauges itself.
+    pub(crate) fn publish(&self, stats: &mut SessionStats) {
         let s = &self.selector;
-        stats.blocks.store(self.blocks, Ordering::Relaxed);
-        stats.events.store(s.events(), Ordering::Relaxed);
-        stats.icount.store(s.icount(), Ordering::Relaxed);
-        stats.updates.store(s.updates(), Ordering::Relaxed);
-        stats
-            .markers
-            .store(s.markers().len() as u64, Ordering::Relaxed);
-        stats
-            .stable_updates
-            .store(s.stable_updates(), Ordering::Relaxed);
-        stats
-            .converged
-            .store(u64::from(s.converged()), Ordering::Relaxed);
-        stats
-            .tolerated_events
-            .store(s.tolerated_events(), Ordering::Relaxed);
-        stats
-            .dangling_frames
-            .store(s.dangling_frames() as u64, Ordering::Relaxed);
+        stats.blocks = self.blocks;
+        stats.events = s.events();
+        stats.icount = s.icount();
+        stats.updates = s.updates();
+        stats.markers = s.markers().len() as u64;
+        stats.stable_updates = s.stable_updates();
+        stats.converged = u64::from(s.converged());
+        stats.tolerated_events = s.tolerated_events();
+        stats.dangling_frames = s.dangling_frames() as u64;
         if let Some(journal) = &self.journal {
-            stats
-                .journal_events
-                .store(journal.committed().events, Ordering::Relaxed);
+            stats.journal_events = journal.committed().events;
         }
-        let analysis = self.mem_estimate();
-        stats.analysis_bytes.store(analysis, Ordering::Relaxed);
-        let queued = stats.queued_bytes.load(Ordering::Relaxed);
-        stats.mem_bytes.store(queued + analysis, Ordering::Relaxed);
-    }
-
-    /// Estimated bytes held by the analysis state (excluding the
-    /// queue, which is accounted separately).
-    pub fn mem_estimate(&self) -> u64 {
-        self.selector.mem_estimate()
+        stats.analysis_bytes = s.mem_estimate();
     }
 
     /// Finalizes the session: flush + footer the journal generation,
@@ -515,8 +493,6 @@ mod tests {
     fn feed(core: &mut SessionCore, events: &[(u64, TraceEvent)], budget: usize) {
         for block in chunk_events(events, budget) {
             let decoded = block.decode_events().unwrap();
-            core.accepted_events = block.meta.end_seq();
-            core.accepted_icount = block.meta.end_icount;
             core.analyze(&decoded).unwrap();
         }
     }
@@ -536,15 +512,20 @@ mod tests {
         // First incarnation: half the stream, then FIN-less drop
         // (finish the journal as a clean shutdown would).
         let (mut first, resumed) = SessionCore::open("sess", &config).unwrap();
-        assert!(!resumed);
+        assert_eq!(resumed, None);
         feed(&mut first, &events[..mid], 512);
-        let watermark = first.accepted_events;
+        let watermark = mid as u64;
         first.finish().unwrap();
 
         // Second incarnation resumes from the journal.
         let (mut second, resumed) = SessionCore::open("sess", &config).unwrap();
-        assert!(resumed);
-        assert_eq!(second.accepted_events, watermark);
+        assert_eq!(
+            resumed,
+            Some(Watermark {
+                events: watermark,
+                icount: events[mid - 1].0,
+            })
+        );
 
         // Feed the rest; the final set matches a batch run.
         let rest = chunk_events(&events, 512)
@@ -552,12 +533,13 @@ mod tests {
             .filter(|b| b.meta.end_seq() > watermark)
             .collect::<Vec<_>>();
         let mut trimmed = 0;
+        let mut accepted = watermark;
         for block in rest {
-            let BlockFit::Fresh { skip } = BlockFit::of(&block.meta, second.accepted_events) else {
+            let BlockFit::Fresh { skip } = BlockFit::of(&block.meta, accepted) else {
                 panic!("the rest resumes at the watermark without a gap");
             };
             let decoded = block.decode_events().unwrap();
-            second.accepted_events = block.meta.end_seq();
+            accepted = block.meta.end_seq();
             second.analyze(&decoded[skip..]).unwrap();
             trimmed += skip;
         }
@@ -600,27 +582,26 @@ mod tests {
         let (mut core, _) = SessionCore::open("s", &config).unwrap();
         let events = trace();
         let blocks = chunk_events(&events, 1024);
-        let fit =
-            |i: usize, core: &SessionCore| BlockFit::of(&blocks[i].meta, core.accepted_events);
-        assert_eq!(fit(0, &core), BlockFit::Fresh { skip: 0 });
-        assert_eq!(fit(1, &core), BlockFit::Gap, "skipping block 0 is a gap");
+        let fit = |i: usize, accepted: u64| BlockFit::of(&blocks[i].meta, accepted);
+        assert_eq!(fit(0, 0), BlockFit::Fresh { skip: 0 });
+        assert_eq!(fit(1, 0), BlockFit::Gap, "skipping block 0 is a gap");
         let decoded = blocks[0].decode_events().unwrap();
-        core.accepted_events = blocks[0].meta.end_seq();
+        let accepted = blocks[0].meta.end_seq();
         core.analyze(&decoded).unwrap();
         assert_eq!(
-            fit(0, &core),
+            fit(0, accepted),
             BlockFit::Duplicate,
             "resent block 0 is a dup"
         );
-        assert_eq!(fit(1, &core), BlockFit::Fresh { skip: 0 });
+        assert_eq!(fit(1, accepted), BlockFit::Fresh { skip: 0 });
         // A block re-chunked across the watermark keeps only its tail.
         let straddling = BlockMeta {
-            first_seq: core.accepted_events - 5,
+            first_seq: accepted - 5,
             events: 10,
             ..blocks[1].meta
         };
         assert_eq!(
-            BlockFit::of(&straddling, core.accepted_events),
+            BlockFit::of(&straddling, accepted),
             BlockFit::Fresh { skip: 5 }
         );
     }

@@ -1,6 +1,7 @@
 //! End-to-end serve tests over loopback TCP: online/batch
 //! equivalence, reconnect-resume, restart-recovery, backpressure,
-//! budgets, health, and hostile-peer isolation.
+//! budgets, health, hostile-peer isolation, and the session lifecycle
+//! (finalized, failed and attached sessions).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -530,6 +531,244 @@ fn health_endpoint_serves_schema_valid_jsonl() {
     server.stop();
 }
 
+/// Opens a raw connection and sends `HELLO name`; returns the stream
+/// and the server's first reply.
+fn hello(addr: std::net::SocketAddr, name: &str) -> (TcpStream, Message) {
+    let stream = TcpStream::connect(addr).unwrap();
+    proto::write_message(&mut &stream, &Message::Hello { name: name.into() }).unwrap();
+    let reply = proto::read_message(&mut &stream).unwrap();
+    (stream, reply)
+}
+
+/// Sends `msg` and returns the first reply that is not a `DELTA`.
+fn request(stream: &TcpStream, msg: &Message) -> Message {
+    proto::write_message(&mut { stream }, msg).unwrap();
+    loop {
+        match proto::read_message(&mut { stream }).unwrap() {
+            Message::Delta(_) => {}
+            other => return other,
+        }
+    }
+}
+
+/// The `serve/session/state` gauge of every session in one health
+/// scrape, by session name.
+fn session_states(health: std::net::SocketAddr) -> Vec<(String, f64)> {
+    let mut stream = TcpStream::connect(health).unwrap();
+    stream.write_all(b"GET /health HTTP/1.0\r\n\r\n").unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let body = response.split("\r\n\r\n").nth(1).unwrap();
+    let mut states = Vec::new();
+    for line in body.lines().filter(|l| !l.is_empty()) {
+        let parsed = spm_obs::jsonl::validate_line(line).unwrap();
+        if parsed.get("name").and_then(|v| v.as_str()) == Some("serve/session/state") {
+            let session = parsed
+                .get("fields")
+                .and_then(|f| f.get("session"))
+                .and_then(|v| v.as_str())
+                .unwrap();
+            let value = parsed.get("value").and_then(|v| v.as_num()).unwrap();
+            states.push((session.to_string(), value));
+        }
+    }
+    states.sort_by(|a, b| a.0.cmp(&b.0));
+    states
+}
+
+#[test]
+fn failed_session_rejects_reattach() {
+    let mut config = server_config();
+    config.session.mem_budget = 64;
+    let server = Server::start(config).unwrap();
+    let send = SendConfig::new(&server.addr().to_string(), "sunk");
+    assert!(matches!(
+        send_events(&send, &trace(1)),
+        Err(ServeError::Rejected {
+            code: proto::ErrCode::BudgetExceeded,
+            ..
+        })
+    ));
+    let (_stream, reply) = hello(server.addr(), "sunk");
+    assert_eq!(
+        reply,
+        Message::Err {
+            code: proto::ErrCode::SessionFailed,
+            detail: "session `sunk` failed".into(),
+        }
+    );
+    let report = server.stop();
+    assert_eq!(report.failed, 1, "a rejected reattach fails nothing more");
+}
+
+#[test]
+fn finalized_session_rejects_fresh_blocks() {
+    let events = trace(1);
+    let blocks = proto::chunk_events(&events, 512);
+    let half = blocks.len() / 2;
+    let server = Server::start(server_config()).unwrap();
+    let (stream, reply) = hello(server.addr(), "sealed");
+    assert!(matches!(reply, Message::Welcome { resumed: false, .. }));
+    for block in &blocks[..half] {
+        let reply = request(&stream, &Message::Block(block.clone()));
+        assert!(matches!(reply, Message::Ack { .. }), "{reply:?}");
+    }
+    assert!(matches!(request(&stream, &Message::Fin), Message::Done(_)));
+    drop(stream);
+
+    let watermark = blocks[half].meta.first_seq;
+    let (stream, reply) = hello(server.addr(), "sealed");
+    match reply {
+        Message::Welcome {
+            events, resumed, ..
+        } => {
+            assert_eq!(events, watermark);
+            assert!(resumed);
+        }
+        other => panic!("expected WELCOME, got {other:?}"),
+    }
+    assert_eq!(
+        request(&stream, &Message::Block(blocks[0].clone())),
+        Message::Ack { events: watermark },
+        "a resent block below the watermark is acked"
+    );
+    assert_eq!(
+        request(&stream, &Message::Block(blocks[half].clone())),
+        Message::Err {
+            code: proto::ErrCode::SessionFailed,
+            detail: "session already finalized; new blocks rejected".into(),
+        }
+    );
+    let report = server.stop();
+    assert_eq!(report.done, 1);
+    assert_eq!(report.failed, 0, "the rejected block fails nothing");
+}
+
+#[test]
+fn second_hello_is_rejected_while_a_connection_is_attached() {
+    let server = Server::start(server_config()).unwrap();
+    let (_first, reply) = hello(server.addr(), "owned");
+    assert!(matches!(reply, Message::Welcome { .. }));
+    // The server retries the attach for a moment (a reconnect may race
+    // the old connection's close), then gives up.
+    let (_second, reply) = hello(server.addr(), "owned");
+    assert_eq!(
+        reply,
+        Message::Err {
+            code: proto::ErrCode::Internal,
+            detail: "session `owned` already has a live connection".into(),
+        }
+    );
+    server.stop();
+}
+
+#[test]
+fn hello_waits_for_the_old_connection_to_close() {
+    let server = Server::start(server_config()).unwrap();
+    let (old, reply) = hello(server.addr(), "handover");
+    assert!(matches!(reply, Message::Welcome { .. }));
+    let addr = server.addr();
+    let new = std::thread::spawn(move || hello(addr, "handover").1);
+    // The new HELLO arrives while the old connection still holds the
+    // session; closing it well inside the retry window lets it through.
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    drop(old);
+    assert!(matches!(
+        new.join().unwrap(),
+        Message::Welcome { resumed: true, .. }
+    ));
+    server.stop();
+}
+
+#[test]
+fn live_gauges_follow_the_analyzer() {
+    let events = trace(1);
+    let server = Server::start(server_config()).unwrap();
+    let (stream, _) = hello(server.addr(), "gauged");
+    let first = proto::chunk_events(&events, 512).remove(0);
+    let expected = u64::from(first.meta.events);
+    assert!(matches!(
+        request(&stream, &Message::Block(first)),
+        Message::Ack { .. }
+    ));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let stats = loop {
+        let stats = server.session_stats("gauged").unwrap();
+        if stats.blocks == 1 {
+            break stats;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the analyzed block never showed: {stats:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    };
+    assert_eq!(stats.events, expected);
+    assert_eq!(stats.queue_len, 0);
+    assert!(stats.analysis_bytes > 0);
+    assert_eq!(stats.mem_bytes, stats.queued_bytes + stats.analysis_bytes);
+    drop(stream);
+    server.stop();
+}
+
+#[test]
+fn mem_gauge_adds_the_queue_to_the_analysis() {
+    let events = trace(1);
+    let mut config = server_config();
+    config.session.analysis_delay_ms = 200;
+    let server = Server::start(config).unwrap();
+    let (stream, _) = hello(server.addr(), "queued");
+    for block in proto::chunk_events(&events, 512).into_iter().take(3) {
+        assert!(matches!(
+            request(&stream, &Message::Block(block)),
+            Message::Ack { .. }
+        ));
+    }
+    // The analyzer sleeps on the first block, so the others wait in
+    // the queue: one snapshot shows them in `mem_bytes`.
+    let stats = server.session_stats("queued").unwrap();
+    assert!(stats.queue_len > 0 && stats.queued_bytes > 0, "{stats:?}");
+    assert_eq!(stats.mem_bytes, stats.queued_bytes + stats.analysis_bytes);
+    drop(stream);
+    server.stop();
+}
+
+#[test]
+fn health_state_gauge_tracks_the_lifecycle() {
+    let events = trace(1);
+    let mut config = server_config();
+    config.health_addr = Some("127.0.0.1:0".to_string());
+    let server = Server::start(config.clone()).unwrap();
+    let (live, reply) = hello(server.addr(), "live");
+    assert!(matches!(reply, Message::Welcome { .. }));
+    let first = proto::chunk_events(&events, 512).remove(0);
+    assert!(matches!(
+        request(&live, &Message::Block(first)),
+        Message::Ack { .. }
+    ));
+    send_events(
+        &SendConfig::new(&server.addr().to_string(), "done"),
+        &events,
+    )
+    .unwrap();
+    assert_eq!(
+        session_states(server.health_addr().unwrap()),
+        [("done".to_string(), 1.0), ("live".to_string(), 0.0)]
+    );
+    drop(live);
+    server.stop();
+
+    config.session.mem_budget = 64;
+    let server = Server::start(config).unwrap();
+    let send = SendConfig::new(&server.addr().to_string(), "failed");
+    assert!(send_events(&send, &events).is_err());
+    assert_eq!(
+        session_states(server.health_addr().unwrap()),
+        [("failed".to_string(), 2.0)]
+    );
+    server.stop();
+}
+
 #[test]
 fn session_memory_gauge_stays_under_budget() {
     let events = trace(2);
@@ -549,7 +788,7 @@ fn session_memory_gauge_stays_under_budget() {
     let mut peak = 0u64;
     while !sender.is_finished() {
         if let Some(stats) = server.session_stats("bounded") {
-            peak = peak.max(stats.mem_bytes.load(std::sync::atomic::Ordering::Relaxed));
+            peak = peak.max(stats.mem_bytes);
         }
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
