@@ -2,9 +2,11 @@
 //!
 //! Implements the API subset this workspace uses (`SmallRng`,
 //! `SeedableRng::seed_from_u64`, `Rng::{gen, gen_range, gen_ratio,
-//! gen_bool}`) on top of xoshiro256++. Deterministic in the seed, but
-//! the streams differ from the real `rand` crate.
+//! gen_bool}`, `distributions::{Uniform, Distribution}`) on top of
+//! xoshiro256++. Deterministic in the seed, but the streams differ from
+//! the real `rand` crate.
 
+use distributions::Distribution;
 use std::ops::{Range, RangeInclusive};
 
 /// Core random source: a stream of `u64`s.
@@ -124,38 +126,19 @@ pub trait SampleRange<T> {
     fn sample_range<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
-fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
-    debug_assert!(span > 0);
-    // Avoid modulo bias with a rejection zone.
-    let zone = u64::MAX - (u64::MAX - span + 1) % span;
-    loop {
-        let v = rng.next_u64();
-        if v <= zone {
-            return v % span;
-        }
-    }
-}
-
 macro_rules! int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
+            #[inline]
             fn sample_range<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "cannot sample empty range");
-                let span = (self.end as i128 - self.start as i128) as u64;
-                let off = uniform_u64(rng, span);
-                (self.start as i128 + off as i128) as $t
+                distributions::Uniform::new(self.start, self.end).sample(rng)
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
+            #[inline]
             fn sample_range<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = self.into_inner();
-                assert!(lo <= hi, "cannot sample empty range");
-                let span = (hi as i128 - lo as i128) as u64;
-                if span == u64::MAX {
-                    return rng.next_u64() as $t;
-                }
-                let off = uniform_u64(rng, span + 1);
-                (lo as i128 + off as i128) as $t
+                distributions::Uniform::new_inclusive(lo, hi).sample(rng)
             }
         }
     )*};
@@ -193,14 +176,16 @@ pub trait Rng: RngCore {
     }
 
     /// A uniformly random value in `range`.
+    #[inline]
     fn gen_range<T, Rg: SampleRange<T>>(&mut self, range: Rg) -> T {
         range.sample_range(self)
     }
 
     /// `true` with probability `numerator / denominator`.
+    #[inline]
     fn gen_ratio(&mut self, numerator: u32, denominator: u32) -> bool {
         assert!(denominator > 0 && numerator <= denominator);
-        uniform_u64(self, u64::from(denominator)) < u64::from(numerator)
+        distributions::Uniform::new(0, u64::from(denominator)).sample(self) < u64::from(numerator)
     }
 
     /// `true` with probability `p`.
@@ -211,6 +196,139 @@ pub trait Rng: RngCore {
 }
 
 impl<T: RngCore + ?Sized> Rng for T {}
+
+pub mod distributions {
+    //! Distributions sampled with a generator; [`Uniform`] resolves its
+    //! range once, so repeated draws from one range skip the set-up
+    //! that `gen_range` repeats per call.
+
+    use super::{Rng, RngCore};
+    use uniform::SampleUniform;
+
+    /// Types that produce random values of `T` from a generator.
+    pub trait Distribution<T> {
+        /// Draws one value.
+        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> T;
+    }
+
+    /// Integers drawn uniformly from a range. The rejection zone that
+    /// keeps the draw unbiased is computed in the constructor, so a
+    /// sample costs one comparison per word drawn plus the reduction of
+    /// the accepted word, which the optimizer drops wherever the value
+    /// goes unused.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Uniform<X> {
+        low: X,
+        /// Values in the range; 0 stands for the full 2^64.
+        range: u64,
+        /// The largest accepted word.
+        zone: u64,
+    }
+
+    /// The largest word accepted for an unbiased draw from `range`
+    /// values (0 = the full 2^64, where every word is accepted).
+    #[inline]
+    fn zone(range: u64) -> u64 {
+        if range == 0 {
+            u64::MAX
+        } else {
+            u64::MAX - (u64::MAX - range + 1) % range
+        }
+    }
+
+    /// Draws words until one is at most `zone`.
+    #[inline]
+    fn accepted<R: RngCore + ?Sized>(rng: &mut R, zone: u64) -> u64 {
+        loop {
+            let v = rng.next_u64();
+            if v <= zone {
+                return v;
+            }
+        }
+    }
+
+    impl<X: SampleUniform> Uniform<X> {
+        /// Values in `[low, high)`.
+        ///
+        /// # Panics
+        ///
+        /// If `low >= high`.
+        #[inline]
+        pub fn new(low: X, high: X) -> Self {
+            assert!(low < high, "cannot sample empty range");
+            let range = X::span(low, high);
+            Uniform {
+                low,
+                range,
+                zone: zone(range),
+            }
+        }
+
+        /// Values in `[low, high]`.
+        ///
+        /// # Panics
+        ///
+        /// If `low > high`.
+        #[inline]
+        pub fn new_inclusive(low: X, high: X) -> Self {
+            assert!(low <= high, "cannot sample empty range");
+            let range = X::span(low, high).wrapping_add(1);
+            Uniform {
+                low,
+                range,
+                zone: zone(range),
+            }
+        }
+    }
+
+    impl<X: SampleUniform> Distribution<X> for Uniform<X> {
+        #[inline]
+        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> X {
+            let v = accepted(rng, self.zone);
+            if self.range == 0 {
+                X::from_word(v)
+            } else {
+                X::offset(self.low, v % self.range)
+            }
+        }
+    }
+
+    pub mod uniform {
+        //! What [`Uniform`](super::Uniform) can sample.
+
+        /// Integer types [`Uniform`](super::Uniform) samples; the
+        /// methods are this stub's own.
+        pub trait SampleUniform: Copy + PartialOrd {
+            /// `high - low`, as a word.
+            fn span(low: Self, high: Self) -> u64;
+            /// `low + off`.
+            fn offset(low: Self, off: u64) -> Self;
+            /// A value from a word of the full domain.
+            fn from_word(v: u64) -> Self;
+        }
+
+        macro_rules! uniform_int {
+            ($($t:ty),*) => {$(
+                impl SampleUniform for $t {
+                    #[inline]
+                    fn span(low: Self, high: Self) -> u64 {
+                        (high as i128 - low as i128) as u64
+                    }
+                    #[inline]
+                    fn offset(low: Self, off: u64) -> Self {
+                        (low as i128 + off as i128) as $t
+                    }
+                    #[inline]
+                    fn from_word(v: u64) -> Self {
+                        v as $t
+                    }
+                }
+            )*};
+        }
+
+        uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    }
+}
 
 pub mod prelude {
     pub use crate::rngs::{SmallRng, StdRng};

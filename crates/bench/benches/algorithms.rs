@@ -1,6 +1,7 @@
 //! Microbenchmarks of the core algorithms, including the paper's claim
 //! that marker selection "runs in seconds on every call-loop graph":
-//! graph construction from a trace, marker detection, BBV collection,
+//! the simulator's lowered paths, graph construction from a trace,
+//! marker detection, BBV collection,
 //! the two selection passes, Sequitur, reuse-distance tracking,
 //! k-means, and cache simulation.
 
@@ -15,10 +16,59 @@ use spm_core::{
     partition, select_markers, CallLoopProfiler, MarkerRuntime, SelectConfig, PRELUDE_PHASE,
 };
 use spm_reuse::{detect_boundaries, sequitur, ReuseTracker};
-use spm_sim::{run, TraceEvent, TraceObserver};
+use spm_sim::{run, Reads, TraceEvent, TraceObserver};
 use spm_simpoint::kmeans;
 use spm_store::{StoreReader, StoreWriter};
 use spm_workloads::build;
+
+/// Counts the events of the full stream, reading only `reads`.
+struct Counter {
+    reads: Reads,
+    events: u64,
+}
+
+impl TraceObserver for Counter {
+    fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
+        self.events += batch.len() as u64;
+    }
+
+    fn reads(&self) -> Reads {
+        self.reads
+    }
+
+    fn withheld(&mut self, events: u64) {
+        self.events += events;
+    }
+}
+
+/// The engine alone on gzip `ref`: into an observer that reads no data
+/// events (the path of a marker run: straight-line loop bodies stepped
+/// whole, addresses nobody reads skipped at their draws) and into one
+/// that reads blocks (the path of the BBV collectors).
+fn bench_sim(c: &mut Criterion) {
+    let w = build("gzip").expect("gzip");
+    let mut group = c.benchmark_group("sim");
+    let mut all = Counter {
+        reads: Reads::ALL,
+        events: 0,
+    };
+    run(&w.program, &w.ref_input, &mut [&mut all]).unwrap();
+    group.throughput(Throughput::Elements(all.events));
+    for (name, reads) in [
+        ("run_gzip_ref_none", Reads::NONE),
+        ("run_gzip_ref_blocks", Reads::BLOCKS),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut counter = Counter { reads, events: 0 };
+                run(&w.program, &w.ref_input, &mut [&mut counter]).unwrap();
+                assert_eq!(counter.events, all.events);
+                counter.events
+            })
+        });
+    }
+    group.finish();
+}
 
 fn bench_callloop_profile(c: &mut Criterion) {
     let w = build("gzip").expect("gzip");
@@ -261,7 +311,8 @@ fn bench_predictors(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_callloop_profile,
+    targets = bench_sim,
+        bench_callloop_profile,
         bench_marker_selection,
         bench_sequitur,
         bench_reuse_distance,

@@ -56,8 +56,9 @@ pub struct ServerConfig {
     pub health_addr: Option<String>,
     /// Per-session configuration (budget, queue, journal dir...).
     pub session: SessionConfig,
-    /// Stop serving once this many sessions completed (`DONE` or
-    /// failed). `None` serves until [`Server::shutdown`].
+    /// Stop serving once this many sessions completed: finalized or
+    /// failed, with the `DONE` or `ERR` that says so written to the
+    /// client. `None` serves until [`Server::shutdown`].
     pub expect: Option<u64>,
 }
 
@@ -123,6 +124,9 @@ struct Mailbox {
     fin: bool,
     /// Set once, by whichever thread ends the session.
     outcome: Option<Outcome>,
+    /// Counted toward `expect`: the outcome is reported or nobody is
+    /// attached to report it to.
+    reported: bool,
     /// The analyzer's last published gauges, plus the `BUSY` count.
     figures: SessionStats,
 }
@@ -151,8 +155,36 @@ impl SessionHandle {
                 counter.fetch_add(1, Ordering::Relaxed);
             }
             mailbox.outcome = Some(outcome);
+            if !self.attached.load(Ordering::Acquire) {
+                Self::count_reported(shared, mailbox);
+            }
         }
         self.wake.notify_all();
+    }
+
+    /// Counts the session toward [`ServerConfig::expect`] once no client
+    /// can still be owed a reply about its `Done` or `Failed` outcome:
+    /// the `DONE` or `ERR` saying so was just written, or the session has
+    /// no connection to write one. A server that stops on `expect` thus
+    /// never ends before its last `DONE` is on the wire, and a session
+    /// that fails with nobody attached still counts.
+    fn reported(&self, shared: &Shared) {
+        Self::count_reported(shared, &mut lock(&self.mailbox));
+    }
+
+    /// Releases the session for the next connection; an outcome nobody
+    /// reported is now owed to no one.
+    fn detach(&self, shared: &Shared) {
+        self.attached.store(false, Ordering::Release);
+        self.reported(shared);
+    }
+
+    fn count_reported(shared: &Shared, mailbox: &mut Mailbox) {
+        let ended = matches!(mailbox.outcome, Some(Outcome::Done(_) | Outcome::Failed(_)));
+        if ended && !mailbox.reported {
+            mailbox.reported = true;
+            shared.reported.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Waits for a wake-up or the next shutdown poll.
@@ -205,15 +237,13 @@ pub(crate) struct Shared {
     pub(crate) sessions: AtomicU64,
     pub(crate) done: AtomicU64,
     pub(crate) failed: AtomicU64,
+    /// Sessions whose outcome reached the client as `DONE` or `ERR`.
+    reported: AtomicU64,
     pub(crate) proto_errors: AtomicU64,
     conn_seq: AtomicU64,
 }
 
 impl Shared {
-    pub(crate) fn completed(&self) -> u64 {
-        self.done.load(Ordering::Relaxed) + self.failed.load(Ordering::Relaxed)
-    }
-
     /// Point-in-time totals for the health endpoint and final report.
     pub(crate) fn report(&self) -> ServeReport {
         let busy = lock(&self.registry)
@@ -245,7 +275,7 @@ impl Shared {
                     return Err(AttachError::Attached);
                 }
                 if matches!(lock(&handle.mailbox).outcome, Some(Outcome::Failed(_))) {
-                    handle.attached.store(false, Ordering::Release);
+                    handle.detach(self);
                     return Err(AttachError::Rejected(
                         ErrCode::SessionFailed,
                         format!("session `{name}` failed"),
@@ -417,6 +447,9 @@ fn handle_block(
     };
     flush_deltas(stream, handle);
     reply(stream, &msg);
+    if matches!(flow, Flow::Close) {
+        handle.reported(shared);
+    }
     flow
 }
 
@@ -545,6 +578,7 @@ fn handle_fin(shared: &Shared, handle: &SessionHandle, stream: &TcpStream) -> Fl
     drop(mailbox);
     flush_deltas(stream, handle);
     reply(stream, &msg);
+    handle.reported(shared);
     Flow::Close
 }
 
@@ -652,7 +686,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: &TcpStream) {
             break;
         }
     }
-    handle.attached.store(false, Ordering::Release);
+    handle.detach(shared);
 }
 
 /// A running server: accept loop, optional health endpoint, and the
@@ -706,6 +740,7 @@ impl Server {
             sessions: AtomicU64::new(0),
             done: AtomicU64::new(0),
             failed: AtomicU64::new(0),
+            reported: AtomicU64::new(0),
             proto_errors: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
         });
@@ -762,7 +797,9 @@ impl Server {
     }
 
     /// Blocks until `expect` sessions completed (when configured) or
-    /// shutdown is requested.
+    /// shutdown is requested. A session counts once the `DONE` or
+    /// `ERR` reporting its outcome has been written, so what follows
+    /// (even the process exiting) cannot cut that reply off.
     pub fn wait(&self) {
         let expect = self.shared.config.expect;
         loop {
@@ -770,7 +807,7 @@ impl Server {
                 return;
             }
             if let Some(n) = expect {
-                if self.shared.completed() >= n {
+                if self.shared.reported.load(Ordering::Relaxed) >= n {
                     return;
                 }
             }
@@ -837,4 +874,56 @@ pub(crate) fn write_http_ok(stream: &mut TcpStream, content_type: &str, body: &s
         body.len()
     );
     let _ = stream.write_all(response.as_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An outcome no connection can report still counts toward
+    /// `expect`: at once when it settles with nobody attached, and when
+    /// its connection detaches otherwise.
+    #[test]
+    fn unreported_outcomes_count_once_nobody_is_attached() {
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            health_addr: None,
+            session: SessionConfig::default(),
+            expect: Some(2),
+        })
+        .unwrap();
+        let shared = &server.shared;
+        let failure = || ServeError::Rejected {
+            code: ErrCode::Internal,
+            detail: "test".to_string(),
+        };
+        let reported = || shared.reported.load(Ordering::Relaxed);
+
+        let Ok((detached, _)) = shared.attach("detached") else {
+            panic!("cannot attach `detached`");
+        };
+        detached.attached.store(false, Ordering::Release);
+        detached.settle(
+            shared,
+            &mut lock(&detached.mailbox),
+            Outcome::Failed(failure()),
+        );
+        assert_eq!(reported(), 1);
+
+        let Ok((attached, _)) = shared.attach("attached") else {
+            panic!("cannot attach `attached`");
+        };
+        attached.settle(
+            shared,
+            &mut lock(&attached.mailbox),
+            Outcome::Failed(failure()),
+        );
+        assert_eq!(reported(), 1, "its connection may still write the ERR");
+        attached.detach(shared);
+        attached.detach(shared);
+        assert_eq!(reported(), 2);
+        server.wait();
+        let report = server.stop();
+        assert_eq!(report.failed, 2);
+    }
 }

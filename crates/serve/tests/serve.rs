@@ -16,6 +16,7 @@ use spm_sim::{run, TraceEvent, TraceObserver};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// A phased trace with enough structure for a non-trivial marker set.
 fn trace(scale: u64) -> Vec<(u64, TraceEvent)> {
@@ -551,6 +552,17 @@ fn request(stream: &TcpStream, msg: &Message) -> Message {
     }
 }
 
+/// Sends `block` again while the server answers `BUSY` (its analyzer
+/// may lag on a loaded host); returns the first other reply.
+fn send_block(stream: &TcpStream, block: &proto::WireBlock) -> Message {
+    loop {
+        match request(stream, &Message::Block(block.clone())) {
+            Message::Busy { .. } => std::thread::sleep(Duration::from_millis(1)),
+            other => return other,
+        }
+    }
+}
+
 /// The `serve/session/state` gauge of every session in one health
 /// scrape, by session name.
 fn session_states(health: std::net::SocketAddr) -> Vec<(String, f64)> {
@@ -610,7 +622,7 @@ fn finalized_session_rejects_fresh_blocks() {
     let (stream, reply) = hello(server.addr(), "sealed");
     assert!(matches!(reply, Message::Welcome { resumed: false, .. }));
     for block in &blocks[..half] {
-        let reply = request(&stream, &Message::Block(block.clone()));
+        let reply = send_block(&stream, block);
         assert!(matches!(reply, Message::Ack { .. }), "{reply:?}");
     }
     assert!(matches!(request(&stream, &Message::Fin), Message::Done(_)));
@@ -642,6 +654,56 @@ fn finalized_session_rejects_fresh_blocks() {
     let report = server.stop();
     assert_eq!(report.done, 1);
     assert_eq!(report.failed, 0, "the rejected block fails nothing");
+}
+
+/// A server that stops on `expect` counts a session once the `DONE`
+/// reporting it is written, so the reply is already on the client's
+/// socket when `wait` returns and a caller that then stops the server
+/// (or exits) cannot cut it off. Checked over repeated sessions.
+#[test]
+fn expect_waits_until_done_is_on_the_wire() {
+    let blocks = proto::chunk_events(&trace(1), 512);
+    for round in 0..20 {
+        let server = Server::start(ServerConfig {
+            expect: Some(1),
+            ..server_config()
+        })
+        .unwrap();
+        let (stream, reply) = hello(server.addr(), &format!("expect-{round}"));
+        assert!(matches!(reply, Message::Welcome { .. }));
+        for block in &blocks {
+            let reply = send_block(&stream, block);
+            assert!(
+                matches!(reply, Message::Ack { .. }),
+                "round {round}: {reply:?}"
+            );
+        }
+        proto::write_message(&mut &stream, &Message::Fin).unwrap();
+        server.wait();
+        // Everything written so far is readable without waiting.
+        stream.set_nonblocking(true).unwrap();
+        let mut bytes = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match (&stream).read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => bytes.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("round {round}: {e}"),
+            }
+        }
+        let report = server.stop();
+        assert_eq!(report.done, 1);
+        let mut rest = &bytes[..];
+        let mut last = None;
+        while !rest.is_empty() {
+            last = Some(proto::read_message(&mut rest).unwrap());
+        }
+        assert!(
+            matches!(last, Some(Message::Done(_))),
+            "round {round}: DONE not written when `wait` returned, last reply {last:?}"
+        );
+    }
 }
 
 #[test]

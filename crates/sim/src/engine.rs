@@ -2,9 +2,10 @@
 //! event stream.
 
 use crate::events::{Reads, TraceEvent, TraceObserver};
+use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spm_ir::{AccessPattern, Block, Cond, Input, MemRef, Program, Stmt, Trip};
+use spm_ir::{AccessPattern, Block, Cond, Input, Program, Stmt, Trip};
 use std::fmt;
 
 /// Maximum procedure-call nesting depth. Calls beyond this depth are
@@ -76,14 +77,22 @@ impl std::error::Error for RunError {}
 /// of their sets (call-loop events and `Finish` always), with the same
 /// icounts, and before each batch learns through
 /// [`withheld`](TraceObserver::withheld) how many events it was not
-/// handed. Every block, access and branch still executes, so random
-/// draws, the returned [`RunSummary`] and the `sim/run` span's `events`
-/// count are those of the full run; the span's `delivered` field counts
-/// the events the observers were handed. When no observer reads
-/// `MemAccess`, sequential and pointer-chase addresses are not computed
-/// (their cursors are seen only through addresses, so they stay put);
-/// random and hotspot addresses are drawn and dropped, to keep the RNG
-/// in step.
+/// handed. The returned [`RunSummary`], every RNG word and the `sim/run`
+/// span's `events` count are those of the full run; the span's
+/// `delivered` field counts the events the observers were handed.
+///
+/// The program is lowered once per run, against this input's region
+/// sizes. Each block gets its total access count and the list of its
+/// memrefs that draw from the RNG (random and hotspot patterns), each
+/// with a resolved [`Uniform`] sampler. When no observer reads
+/// `MemAccess`, a block therefore costs one add for its accesses plus
+/// its draws, and a draw whose address nobody reads costs only the
+/// sampler's accept test; sequential and pointer-chase cursors are seen
+/// only through addresses, so they stay put. When no observer reads
+/// `BlockExec` or `MemAccess` either, a loop whose body holds only
+/// blocks runs an iteration as its `LoopIter`, the body's summed
+/// instructions, blocks and accesses, and its concatenated draws, with
+/// no walk of the body.
 ///
 /// Execution is fully deterministic: the same program and input (same
 /// seed) produce the identical event stream on every run — the property
@@ -153,13 +162,20 @@ struct Engine<'p, 'o, 'a> {
     arena: Vec<(u64, TraceEvent)>,
     rng: SmallRng,
     icount: u64,
-    region_base: Vec<u64>,
-    region_size: Vec<u64>,
-    /// Flattened per-(block, memref) cursor state for sequential and
+    /// Every memref of the program, lowered, flattened in block order.
+    mems: Vec<Access>,
+    /// Cursor state of each entry of `mems`, for sequential and
     /// pointer-chase patterns.
     cursors: Vec<u64>,
-    /// Offset of each block's first cursor in `cursors`.
-    cursor_base: Vec<u32>,
+    /// Each block, lowered, indexed by block id.
+    blocks: Vec<BlockPlan>,
+    /// Each loop whose body holds only blocks, summed for one
+    /// iteration, indexed by loop id; all `None` when some observer
+    /// reads `BlockExec` or `MemAccess`.
+    bodies: Vec<Option<Body>>,
+    /// The draws of every block, then those of every lowered body,
+    /// which [`DrawSpan`]s index.
+    draws: Vec<Draw>,
     /// Execution counters for periodic branches.
     branch_execs: Vec<u64>,
     /// Events of the full stream withheld since the last batch.
@@ -177,8 +193,7 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
         input: &'p Input,
         observers: &'o mut [&'a mut dyn TraceObserver],
     ) -> Result<Self, RunError> {
-        let mut region_base = Vec::with_capacity(program.regions().len());
-        let mut region_size = Vec::with_capacity(program.regions().len());
+        let mut regions = Vec::with_capacity(program.regions().len());
         for (i, region) in program.regions().iter().enumerate() {
             let bytes = region.size.resolve(input);
             if bytes > REGION_SPACING {
@@ -187,38 +202,22 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
                     bytes,
                 });
             }
-            region_base.push((i as u64 + 1) * REGION_SPACING);
-            region_size.push(bytes);
+            regions.push(((i as u64 + 1) * REGION_SPACING, bytes));
         }
-
-        // Count memory references per block to lay out cursor state.
-        let mut mem_counts = vec![0u32; program.block_count()];
-        fn count_mem(stmts: &[Stmt], counts: &mut [u32]) {
-            for stmt in stmts {
-                match stmt {
-                    Stmt::Block(b) => counts[b.id.index()] = b.mem.len() as u32,
-                    Stmt::Loop(l) => count_mem(&l.body, counts),
-                    Stmt::If(i) => {
-                        count_mem(&i.then_body, counts);
-                        count_mem(&i.else_body, counts);
-                    }
-                    Stmt::Call(_) => {}
-                }
-            }
-        }
-        for proc in program.procs() {
-            count_mem(&proc.body, &mut mem_counts);
-        }
-        let mut cursor_base = Vec::with_capacity(mem_counts.len());
-        let mut total = 0u32;
-        for count in &mem_counts {
-            cursor_base.push(total);
-            total += count;
-        }
-
         let reads = observers
             .iter()
             .fold(Reads::NONE, |set, obs| set | obs.reads());
+        let mut lowering = Lowering {
+            regions,
+            step_bodies: !reads.contains(Reads::BLOCKS) && !reads.contains(Reads::MEM),
+            mems: Vec::new(),
+            blocks: vec![BlockPlan::default(); program.block_count()],
+            bodies: vec![None; program.loop_count()],
+            draws: Vec::new(),
+        };
+        for proc in program.procs() {
+            lowering.stmts(&proc.body);
+        }
         Ok(Self {
             program,
             input,
@@ -227,10 +226,11 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
             arena: Vec::with_capacity(ARENA_EVENTS),
             rng: SmallRng::seed_from_u64(input.seed() ^ 0x5eed_cafe_f00d_u64),
             icount: 0,
-            region_base,
-            region_size,
-            cursors: vec![0; total as usize],
-            cursor_base,
+            cursors: vec![0; lowering.mems.len()],
+            mems: lowering.mems,
+            blocks: lowering.blocks,
+            bodies: lowering.bodies,
+            draws: lowering.draws,
             branch_execs: vec![0; program.branch_count()],
             withheld: 0,
             withheld_total: 0,
@@ -274,10 +274,18 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
                 Stmt::Loop(l) => {
                     let trip = self.draw_trip(&l.trip);
                     self.emit(TraceEvent::LoopEnter { loop_id: l.id });
-                    for _ in 0..trip {
-                        self.summary.loop_iters += 1;
-                        self.emit(TraceEvent::LoopIter { loop_id: l.id });
-                        self.exec_stmts(&l.body, depth);
+                    if let Some(body) = self.bodies[l.id.index()] {
+                        for _ in 0..trip {
+                            self.summary.loop_iters += 1;
+                            self.emit(TraceEvent::LoopIter { loop_id: l.id });
+                            self.step_body(body);
+                        }
+                    } else {
+                        for _ in 0..trip {
+                            self.summary.loop_iters += 1;
+                            self.emit(TraceEvent::LoopIter { loop_id: l.id });
+                            self.exec_stmts(&l.body, depth);
+                        }
                     }
                     self.emit(TraceEvent::LoopExit { loop_id: l.id });
                 }
@@ -310,9 +318,11 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
     }
 
     fn exec_block(&mut self, block: &Block) {
+        let plan = self.blocks[block.id.index()];
         self.icount += block.instrs as u64;
         self.summary.instrs += block.instrs as u64;
         self.summary.blocks += 1;
+        self.summary.mem_accesses += plan.accesses;
         let reads = self.reads;
         if reads.contains(Reads::BLOCKS) {
             self.emit(TraceEvent::BlockExec {
@@ -323,16 +333,15 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
         } else {
             self.withheld += 1;
         }
-        let cursor_base = self.cursor_base[block.id.index()] as usize;
+        if !reads.contains(Reads::MEM) {
+            self.withheld += plan.accesses;
+            self.skip_draws(plan.draws);
+            return;
+        }
         for (j, mem) in block.mem.iter().enumerate() {
-            self.summary.mem_accesses += u64::from(mem.count);
-            if !reads.contains(Reads::MEM) {
-                self.withheld += u64::from(mem.count);
-                self.skip_addrs(mem, cursor_base + j);
-                continue;
-            }
+            let slot = plan.first_mem as usize + j;
             for _ in 0..mem.count {
-                let addr = self.next_addr(mem.region.index(), mem.pattern, cursor_base + j);
+                let addr = self.next_addr(slot);
                 self.emit(TraceEvent::MemAccess {
                     addr,
                     write: mem.write,
@@ -341,48 +350,46 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
         }
     }
 
-    /// Draws from the RNG what `mem.count` accesses of `mem` draw,
-    /// without building the events nobody reads. Sequential and
-    /// pointer-chase cursors are seen only through addresses, so they
-    /// stay put.
-    fn skip_addrs(&mut self, mem: &MemRef, cursor_idx: usize) {
-        match mem.pattern {
-            AccessPattern::Sequential { .. } | AccessPattern::PointerChase => {}
-            AccessPattern::Random | AccessPattern::Hotspot { .. } => {
-                for _ in 0..mem.count {
-                    self.next_addr(mem.region.index(), mem.pattern, cursor_idx);
-                }
+    /// One iteration of a lowered loop body, whose events nobody reads.
+    #[inline]
+    fn step_body(&mut self, body: Body) {
+        self.icount += body.instrs;
+        self.summary.instrs += body.instrs;
+        self.summary.blocks += body.blocks;
+        self.summary.mem_accesses += body.accesses;
+        self.withheld += body.blocks + body.accesses;
+        self.skip_draws(body.draws);
+    }
+
+    /// Makes the RNG draws of `span` and drops the addresses.
+    #[inline]
+    fn skip_draws(&mut self, span: DrawSpan) {
+        for draw in &self.draws[span.start as usize..span.end as usize] {
+            for _ in 0..draw.count {
+                draw.sampler.offset(&mut self.rng);
             }
         }
     }
 
-    fn next_addr(&mut self, region: usize, pattern: AccessPattern, cursor_idx: usize) -> u64 {
-        let base = self.region_base[region];
-        let size = self.region_size[region];
-        let offset = match pattern {
-            AccessPattern::Sequential { stride } => {
-                let cur = self.cursors[cursor_idx];
-                self.cursors[cursor_idx] = cur.wrapping_add(stride as u64);
+    /// The next address of the memref in `mems[slot]`.
+    fn next_addr(&mut self, slot: usize) -> u64 {
+        let Access { base, size, gen } = self.mems[slot];
+        let offset = match gen {
+            AddrGen::Sequential { stride } => {
+                let cur = self.cursors[slot];
+                self.cursors[slot] = cur.wrapping_add(stride);
                 cur % size
             }
-            AccessPattern::Random => self.rng.gen_range(0..size),
-            AccessPattern::PointerChase => {
+            AddrGen::PointerChase => {
                 let slots = (size / 8).max(1);
-                let cur = self.cursors[cursor_idx];
+                let cur = self.cursors[slot];
                 let next = cur
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                self.cursors[cursor_idx] = next;
+                self.cursors[slot] = next;
                 (next % slots) * 8
             }
-            AccessPattern::Hotspot { hot_pct } => {
-                let hot = (size * u64::from(hot_pct.clamp(1, 100)) / 100).max(8);
-                if self.rng.gen_ratio(9, 10) {
-                    self.rng.gen_range(0..hot)
-                } else {
-                    self.rng.gen_range(0..size)
-                }
-            }
+            AddrGen::Draw(sampler) => sampler.offset(&mut self.rng),
         };
         base + (offset & !7)
     }
@@ -429,6 +436,190 @@ impl<'p, 'o, 'a> Engine<'p, 'o, 'a> {
                 self.input.param(param).unwrap_or(0) >= *threshold
             }
         }
+    }
+}
+
+/// How one memref's accesses pick their addresses.
+#[derive(Debug, Clone, Copy)]
+enum AddrGen {
+    /// Walks the cursor by the stride, wrapping at the region's end.
+    Sequential { stride: u64 },
+    /// A fixed permutation walk over the region's 8-byte slots.
+    PointerChase,
+    /// Draws from the RNG.
+    Draw(Sampler),
+}
+
+/// The RNG draws of one random or hotspot access, resolved against the
+/// region's size.
+#[derive(Debug, Clone, Copy)]
+enum Sampler {
+    /// Uniform over the region.
+    Random(Uniform<u64>),
+    /// Nine in ten from the hot prefix, the rest over the whole region.
+    Hotspot {
+        hot: Uniform<u64>,
+        all: Uniform<u64>,
+    },
+}
+
+impl Sampler {
+    /// One access's offset into its region. Where the caller drops it,
+    /// only the samplers' accept tests are left.
+    #[inline]
+    fn offset(&self, rng: &mut SmallRng) -> u64 {
+        match self {
+            Sampler::Random(all) => all.sample(rng),
+            Sampler::Hotspot { hot, all } => {
+                if rng.gen_ratio(9, 10) {
+                    hot.sample(rng)
+                } else {
+                    all.sample(rng)
+                }
+            }
+        }
+    }
+}
+
+/// A memref lowered against this run's region sizes.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    /// The region's base address and size in bytes.
+    base: u64,
+    size: u64,
+    gen: AddrGen,
+}
+
+/// The draws one execution of a drawing memref makes.
+#[derive(Debug, Clone, Copy)]
+struct Draw {
+    sampler: Sampler,
+    count: u32,
+}
+
+/// The entries `start..end` of [`Engine::draws`].
+#[derive(Debug, Clone, Copy, Default)]
+struct DrawSpan {
+    start: u32,
+    end: u32,
+}
+
+/// A block lowered for this run.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockPlan {
+    /// Accesses one execution makes.
+    accesses: u64,
+    /// Its first memref's index in [`Engine::mems`].
+    first_mem: u32,
+    /// Its memrefs that draw, in order.
+    draws: DrawSpan,
+}
+
+/// A loop body of blocks only, summed over one iteration.
+#[derive(Debug, Clone, Copy, Default)]
+struct Body {
+    instrs: u64,
+    blocks: u64,
+    accesses: u64,
+    /// Its blocks' draws, concatenated in order.
+    draws: DrawSpan,
+}
+
+/// The lowering pass behind [`Engine::new`]: one walk over every
+/// procedure body.
+struct Lowering {
+    /// Each region's base address and size under this input.
+    regions: Vec<(u64, u64)>,
+    /// Whether to lower straight-line loop bodies (nobody reads their
+    /// blocks or accesses).
+    step_bodies: bool,
+    mems: Vec<Access>,
+    blocks: Vec<BlockPlan>,
+    bodies: Vec<Option<Body>>,
+    draws: Vec<Draw>,
+}
+
+impl Lowering {
+    fn stmts(&mut self, stmts: &[Stmt]) {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Block(block) => self.block(block),
+                Stmt::Loop(l) => {
+                    self.stmts(&l.body);
+                    if self.step_bodies {
+                        self.bodies[l.id.index()] = self.body(&l.body);
+                    }
+                }
+                Stmt::If(i) => {
+                    self.stmts(&i.then_body);
+                    self.stmts(&i.else_body);
+                }
+                Stmt::Call(_) => {}
+            }
+        }
+    }
+
+    fn block(&mut self, block: &Block) {
+        let first_mem = self.mems.len() as u32;
+        let start = self.draws.len() as u32;
+        let mut accesses = 0;
+        for mem in &block.mem {
+            let (base, size) = self.regions[mem.region.index()];
+            let gen = match mem.pattern {
+                AccessPattern::Sequential { stride } => AddrGen::Sequential {
+                    stride: u64::from(stride),
+                },
+                AccessPattern::PointerChase => AddrGen::PointerChase,
+                AccessPattern::Random => AddrGen::Draw(Sampler::Random(Uniform::new(0, size))),
+                AccessPattern::Hotspot { hot_pct } => {
+                    let hot = (size * u64::from(hot_pct.clamp(1, 100)) / 100).max(8);
+                    AddrGen::Draw(Sampler::Hotspot {
+                        hot: Uniform::new(0, hot),
+                        all: Uniform::new(0, size),
+                    })
+                }
+            };
+            if let (AddrGen::Draw(sampler), 1..) = (gen, mem.count) {
+                self.draws.push(Draw {
+                    sampler,
+                    count: mem.count,
+                });
+            }
+            self.mems.push(Access { base, size, gen });
+            accesses += u64::from(mem.count);
+        }
+        self.blocks[block.id.index()] = BlockPlan {
+            accesses,
+            first_mem,
+            draws: DrawSpan {
+                start,
+                end: self.draws.len() as u32,
+            },
+        };
+    }
+
+    /// Sums a loop body whose statements are all blocks, already
+    /// lowered; `None` for any other body.
+    fn body(&mut self, body: &[Stmt]) -> Option<Body> {
+        let start = self.draws.len() as u32;
+        let mut sum = Body::default();
+        for stmt in body {
+            let Stmt::Block(block) = stmt else {
+                self.draws.truncate(start as usize);
+                return None;
+            };
+            let plan = self.blocks[block.id.index()];
+            sum.instrs += u64::from(block.instrs);
+            sum.blocks += 1;
+            sum.accesses += plan.accesses;
+            self.draws
+                .extend_from_within(plan.draws.start as usize..plan.draws.end as usize);
+        }
+        sum.draws = DrawSpan {
+            start,
+            end: self.draws.len() as u32,
+        };
+        Some(sum)
     }
 }
 
@@ -569,12 +760,15 @@ mod tests {
         assert!(batches.sizes.iter().all(|&n| n > 0 && n <= ARENA_EVENTS));
     }
 
-    /// Records what it is handed and the events withheld; reads the
-    /// kinds in `reads`.
+    /// Records what it is handed, the events withheld and where each
+    /// batch ends in the full stream; reads the kinds in `reads`.
     struct KindTape {
         reads: Reads,
         events: Vec<(u64, TraceEvent)>,
         withheld: u64,
+        /// Full-stream events covered after each batch, with the
+        /// batch's last event.
+        ends: Vec<(u64, (u64, TraceEvent))>,
     }
 
     impl KindTape {
@@ -583,13 +777,27 @@ mod tests {
                 reads,
                 events: Vec::new(),
                 withheld: 0,
+                ends: Vec::new(),
             }
+        }
+
+        /// Checks every batch end against the full stream: the count
+        /// reported before a batch, plus the batch, covers the full
+        /// stream up to the batch's last event.
+        fn check_ends(&self, full: &[(u64, TraceEvent)]) {
+            assert!(self.ends.len() > 1);
+            for &(seen, last) in &self.ends {
+                assert_eq!(full[seen as usize - 1], last, "{:?}", self.reads);
+            }
+            assert_eq!(self.events.len() as u64 + self.withheld, full.len() as u64);
         }
     }
 
     impl TraceObserver for KindTape {
         fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
             self.events.extend_from_slice(batch);
+            let seen = self.events.len() as u64 + self.withheld;
+            self.ends.push((seen, *batch.last().unwrap()));
         }
 
         fn reads(&self) -> Reads {
@@ -648,24 +856,6 @@ mod tests {
 
     #[test]
     fn withheld_counts_precede_the_batch_they_belong_to() {
-        // The count reported before a batch, plus the batch, covers the
-        // full stream up to the batch's last event.
-        struct Positions {
-            seen: u64,
-            ends: Vec<(u64, (u64, TraceEvent))>,
-        }
-        impl TraceObserver for Positions {
-            fn on_batch(&mut self, batch: &[(u64, TraceEvent)]) {
-                self.seen += batch.len() as u64;
-                self.ends.push((self.seen, *batch.last().unwrap()));
-            }
-            fn reads(&self) -> Reads {
-                Reads::NONE
-            }
-            fn withheld(&mut self, events: u64) {
-                self.seen += events;
-            }
-        }
         let mut b = ProgramBuilder::new("t");
         let r = b.region_bytes("d", 1 << 12);
         b.proc("main", |p| {
@@ -679,17 +869,75 @@ mod tests {
         let input = Input::new("x", 2);
         let mut full: Vec<(u64, TraceEvent)> = Vec::new();
         run(&program, &input, &mut [&mut full]).unwrap();
-        let mut positions = Positions {
-            seen: 0,
-            ends: Vec::new(),
-        };
-        run(&program, &input, &mut [&mut positions]).unwrap();
-        assert!(positions.ends.len() > 1);
-        for (seen, last) in positions.ends {
-            // The batch's last event is the `seen`-th of the full stream.
-            assert_eq!(full[seen as usize - 1], last);
+        let mut tape = KindTape::new(Reads::NONE);
+        run(&program, &input, &mut [&mut tape]).unwrap();
+        tape.check_ends(&full);
+    }
+
+    #[test]
+    fn lowered_loop_bodies_match_the_walked_run() {
+        // Loop 1 has a body of three blocks mixing every access pattern;
+        // the branch and the trip draws after it show any drift in its
+        // draws. Loop 2's body holds a branch and a call, so it is
+        // walked even when nobody reads blocks.
+        let mut b = ProgramBuilder::new("t");
+        let odd = b.region_bytes("odd", 3000);
+        let pow = b.region_bytes("pow", 1 << 12);
+        b.proc("main", |p| {
+            p.loop_(Trip::Fixed(8), |outer| {
+                outer.loop_(Trip::Uniform { lo: 100, hi: 300 }, |body| {
+                    body.block(3).seq_read(odd, 2).rand_read(odd, 3).done();
+                    body.block(5).hot_read(pow, 2, 10).chase_read(odd, 1).done();
+                    body.block(2)
+                        .rand_write(pow, 1)
+                        .stride_read(odd, 2, 24)
+                        .hot_read(odd, 1, 30)
+                        .done();
+                });
+                outer.if_prob(0.5, |t| t.block(7).done(), |e| e.call("leaf"));
+                outer.loop_(Trip::Uniform { lo: 20, hi: 60 }, |walked| {
+                    walked.block(4).rand_read(odd, 1).done();
+                    walked.if_prob(
+                        0.3,
+                        |t| t.block(2).hot_read(odd, 1, 50).done(),
+                        |e| e.call("leaf"),
+                    );
+                });
+            });
+        });
+        b.proc("leaf", |p| p.block(2).rand_read(pow, 2).done());
+        let program = b.build("main").unwrap();
+        let input = Input::new("x", 21);
+
+        // Only a run that reads neither blocks nor accesses steps loop 1
+        // whole; loop 0 (nested loops) and loop 2 are walked.
+        for (reads, stepped) in [(Reads::BRANCHES, true), (Reads::BLOCKS, false)] {
+            let mut tape = KindTape::new(reads);
+            let mut observers: [&mut dyn TraceObserver; 1] = [&mut tape];
+            let engine = Engine::new(&program, &input, &mut observers).unwrap();
+            let lowered: Vec<bool> = engine.bodies.iter().map(Option::is_some).collect();
+            assert_eq!(lowered, [false, stepped, false], "{reads:?}");
         }
-        assert_eq!(positions.seen, full.len() as u64);
+
+        let mut full: Vec<(u64, TraceEvent)> = Vec::new();
+        let full_summary = run(&program, &input, &mut [&mut full]).unwrap();
+        let kinds = [Reads::BLOCKS, Reads::MEM, Reads::BRANCHES];
+        for bits in 0..8 {
+            let reads = (0..3)
+                .filter(|i| bits >> i & 1 == 1)
+                .fold(Reads::NONE, |set, i| set | kinds[i]);
+            let mut tape = KindTape::new(reads);
+            let summary = run(&program, &input, &mut [&mut tape]).unwrap();
+            assert_eq!(summary, full_summary, "{reads:?}");
+            let expected: Vec<(u64, TraceEvent)> = full
+                .iter()
+                .copied()
+                .filter(|(_, e)| reads.admits(e))
+                .collect();
+            assert!(expected.len() > ARENA_EVENTS, "{reads:?}");
+            assert!(tape.events == expected, "{reads:?}: streams differ");
+            tape.check_ends(&full);
+        }
     }
 
     #[test]

@@ -10,7 +10,15 @@
 //! marker detection) is an observer, so a single deterministic execution
 //! feeds them all, exactly as one ATOM-instrumented run did in the paper.
 //! Each observer names the data kinds it reads ([`Reads`]), and [`run`]
-//! builds only the kinds some observer reads.
+//! builds only the kinds some observer reads. It lowers the program
+//! once per run: every block knows its access count and the random
+//! draws its accesses make, with samplers resolved against the input's
+//! region sizes, and every loop whose body is straight-line blocks
+//! knows one iteration's sums. A run that reads no accesses then skips
+//! them at the cost of their draws alone, and one that reads neither
+//! blocks nor accesses steps such a loop an iteration at a time
+//! without walking its body — the same stream, summary and random
+//! words as a run that builds every event.
 //!
 //! The crate also provides the baseline machine model:
 //! [`TimingModel`] (in-order core + DL1, optional IL1/L2, 2-bit branch
