@@ -7,7 +7,7 @@ use crate::approaches::Metric;
 use crate::passes::{profile, timeline};
 use crate::table::Table;
 use spm_core::{partition, select_markers, MarkerRuntime, SelectConfig, SpmError};
-use spm_reuse::{LocalityAnalysis, LocalityConfig, ReuseSignalCollector};
+use spm_reuse::{LocalityAnalysis, ReuseSignalCollector};
 use spm_sim::run;
 use spm_stats::{phase_cov, PhaseSample};
 
@@ -111,7 +111,7 @@ pub fn ablate_locality_window() -> Result<String, SpmError> {
             let w = crate::workload(name)?;
             let mut collector = ReuseSignalCollector::new(window);
             run(&w.program, &w.train_input, &mut [&mut collector])?;
-            let analysis = LocalityAnalysis::analyze(&collector, &LocalityConfig::default());
+            let analysis = LocalityAnalysis::analyze(&collector);
             row.push(analysis.markers.len().to_string());
         }
         Ok(row)

@@ -141,7 +141,7 @@ pub fn behavior_data(workload: &Workload) -> Result<BehaviorData, SpmError> {
 
     // One ref pass: five marker runtimes + timeline + fixed BBVs.
     let mut runtimes: Vec<MarkerRuntime> = sets.iter().map(MarkerRuntime::new).collect();
-    let mut timeline = Timeline::with_defaults(GRANULE);
+    let mut timeline = Timeline::new(GRANULE);
     let mut bbv = IntervalBbvCollector::new(program, Boundaries::Fixed(BBV_FIXED));
     let total = {
         let mut observers: Vec<&mut dyn TraceObserver> = runtimes

@@ -80,7 +80,7 @@ pub fn classifier_row(workload: &Workload) -> Result<ClassifierRow, SpmError> {
         CodeSignatureCollector::new(program, BBV_FIXED, SignatureKind::ProceduresOnly);
     let mut sig_loops =
         CodeSignatureCollector::new(program, BBV_FIXED, SignatureKind::ProceduresAndLoops);
-    let mut timeline = Timeline::with_defaults(GRANULE);
+    let mut timeline = Timeline::new(GRANULE);
     {
         let mut observers: Vec<&mut dyn TraceObserver> =
             vec![&mut bbv, &mut sig_procs, &mut sig_loops, &mut timeline];

@@ -62,7 +62,7 @@ pub fn cross_isa(
     run(&bin_a, &w.ref_input, &mut [&mut rt_a])?;
 
     let mut rt_b = MarkerRuntime::new(&cross.markers_b);
-    let mut tl = Timeline::with_defaults(GRANULE);
+    let mut tl = Timeline::new(GRANULE);
     let total_b = {
         let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut rt_b, &mut tl];
         run(&bin_b, &w.ref_input, &mut observers)?.instrs

@@ -6,7 +6,7 @@ use crate::{ANALYSIS_SEED, GRANULE, ILOWER, KMAX, PROJECTION_DIMS};
 use spm_bbv::{Boundaries, IntervalBbvCollector};
 use spm_cache::adaptive::{run_adaptive, AdaptiveOutcome, IntervalRecord, Tolerance};
 use spm_core::{partition, MarkerRuntime, SelectConfig, SpmError, Vli};
-use spm_reuse::{LocalityAnalysis, LocalityConfig, ReuseMarkerRuntime, ReuseSignalCollector};
+use spm_reuse::{LocalityAnalysis, ReuseMarkerRuntime, ReuseSignalCollector};
 use spm_sim::{run, TraceObserver};
 use spm_simpoint::{pick_simpoints, SimPointConfig};
 use spm_workloads::{Workload, CACHE_SUITE};
@@ -82,7 +82,7 @@ pub fn cache_row(workload: &Workload) -> Result<CacheRow, SpmError> {
     // Reuse-distance baseline, trained on the train input.
     let mut collector = ReuseSignalCollector::new(512);
     run(program, &workload.train_input, &mut [&mut collector])?;
-    let locality = LocalityAnalysis::analyze(&collector, &LocalityConfig::default());
+    let locality = LocalityAnalysis::analyze(&collector);
 
     // One ref pass: cache bank + all marker runtimes + fixed BBVs.
     let mut bank = BankTimeline::new(GRANULE);

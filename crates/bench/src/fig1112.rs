@@ -83,7 +83,7 @@ pub fn simpoint_row(workload: &Workload) -> Result<SimPointRow, SpmError> {
             prelude_phase: PRELUDE_PHASE,
         },
     );
-    let mut timeline = Timeline::with_defaults(GRANULE);
+    let mut timeline = Timeline::new(GRANULE);
     {
         let mut observers: Vec<&mut dyn TraceObserver> = fixed
             .iter_mut()

@@ -26,7 +26,7 @@ pub fn profile(program: &Program, input: &Input) -> Result<CallLoopGraph, SpmErr
 ///
 /// Propagates engine failures as [`SpmError::Run`].
 pub fn timeline(program: &Program, input: &Input) -> Result<(Timeline, u64), SpmError> {
-    let mut t = Timeline::with_defaults(GRANULE);
+    let mut t = Timeline::new(GRANULE);
     let summary = run(program, input, &mut [&mut t])?;
     Ok((t, summary.instrs))
 }

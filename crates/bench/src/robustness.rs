@@ -44,7 +44,7 @@ pub fn seed_outcome(name: &str, seed: u64) -> Result<SeedOutcome, SpmError> {
     let graph = profile(&w.program, &input)?;
     let markers = select_markers(&graph, &SelectConfig::new(ILOWER)).markers;
     let mut runtime = MarkerRuntime::new(&markers);
-    let mut timeline = Timeline::with_defaults(GRANULE);
+    let mut timeline = Timeline::new(GRANULE);
     let total = {
         let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut runtime, &mut timeline];
         run(&w.program, &input, &mut observers)?.instrs

@@ -28,7 +28,7 @@ impl CacheConfig {
     ///
     /// Panics if `sets` or `block_bytes` is not a power of two, or any
     /// field is zero.
-    pub fn new(sets: u32, ways: u32, block_bytes: u32) -> Self {
+    pub const fn new(sets: u32, ways: u32, block_bytes: u32) -> Self {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
         assert!(
             block_bytes.is_power_of_two(),

@@ -359,7 +359,8 @@ FLAGS:
                       composing with recovery)
   --input train|ref   which input to run (default: ref; select defaults to train)
   --ilower N          minimum average interval size in instructions (default 10000)
-  --limit N           enable the max-interval-size (SimPoint) variant
+  --limit N           enable the max-interval-size (SimPoint) variant;
+                      N must be at least --ilower
   --procs-only        consider procedure edges only
   --dot               emit the call-loop graph as Graphviz DOT
   --markers FILE      read markers from FILE instead of selecting them
@@ -449,10 +450,16 @@ EXIT CODES:
   11 transient I/O errors that outlasted the store retry budget
 ";
 
-fn select_config(parsed: &ParsedArgs) -> Result<SelectConfig, ArgError> {
+fn select_config(parsed: &ParsedArgs) -> Result<SelectConfig, CliError> {
     let ilower = parsed.u64_flag("ilower", 10_000)?;
     let mut config = match parsed.u64_flag("limit", 0)? {
         0 => SelectConfig::new(ilower),
+        // No interval can be both at least `ilower` and at most `limit`.
+        limit if limit < ilower => {
+            return Err(CliError::Usage(format!(
+                "--limit {limit} is below --ilower {ilower}: no edge can qualify"
+            )))
+        }
         limit => SelectConfig::with_limit(ilower, limit),
     };
     if parsed.has("procs-only") {
@@ -630,9 +637,10 @@ fn cmd_profile(parsed: &ParsedArgs) -> Result<(), CliError> {
 }
 
 fn select_one(parsed: &ParsedArgs, name: &str) -> Result<CommandOutput, CliError> {
+    let config = select_config(parsed)?;
     let mut err = String::new();
     let graph = Trace::open(name, parsed, "train", &mut err)?.graph(&mut err)?;
-    let outcome = select_markers(&graph, &select_config(parsed)?);
+    let outcome = select_markers(&graph, &config);
     err.push_str(&format!(
         "# {} markers from {} candidates (avg CoV {:.2}%, threshold spread {:.2}%)\n",
         outcome.markers.len(),
@@ -660,7 +668,7 @@ fn select_one(parsed: &ParsedArgs, name: &str) -> Result<CommandOutput, CliError
 fn partition_one(parsed: &ParsedArgs, name: &str) -> Result<CommandOutput, CliError> {
     let mut err = String::new();
     let mut trace = Trace::open(name, parsed, "ref", &mut err)?;
-    let mut timeline = Timeline::with_defaults(1_000);
+    let mut timeline = Timeline::new(1_000);
     let vlis = marked_run(&mut trace, parsed, Some(&mut timeline), &mut err)?
         .partition(parsed, name, &mut err)?;
     Ok(render_partition(&vlis, &timeline, err))
@@ -1005,8 +1013,8 @@ fn cmd_info(parsed: &ParsedArgs) -> Result<(), CliError> {
 }
 
 fn cmd_explain(parsed: &ParsedArgs) -> Result<(), CliError> {
-    let graph = Trace::workload(parsed, "train")?.graph(&mut String::new())?;
     let config = select_config(parsed)?;
+    let graph = Trace::workload(parsed, "train")?.graph(&mut String::new())?;
     let outcome = select_markers(&graph, &config);
     println!(
         "{:<24} {:>10} {:>12} {:>12} {:>8}  decision",
@@ -1043,7 +1051,7 @@ fn cmd_explain(parsed: &ParsedArgs) -> Result<(), CliError> {
 fn cmd_timeseries(parsed: &ParsedArgs) -> Result<(), CliError> {
     let mut trace = Trace::workload(parsed, "ref")?;
     let step = parsed.u64_flag("step", 10_000)?.max(1);
-    let mut timeline = Timeline::with_defaults(1_000);
+    let mut timeline = Timeline::new(1_000);
     let MarkedRun { firings, total, .. } =
         marked_run(&mut trace, parsed, Some(&mut timeline), &mut String::new())?;
     let mut samples = Vec::new();

@@ -124,6 +124,7 @@ impl Trace {
                 degenerate_cov: false,
             });
         }
+        let config = select_config(parsed)?;
         let graph = match self {
             Trace::Live { target, .. } => {
                 let train = target
@@ -138,7 +139,7 @@ impl Trace {
             }
             Trace::Store { .. } => self.graph(err)?,
         };
-        let outcome = select_markers(&graph, &select_config(parsed)?);
+        let outcome = select_markers(&graph, &config);
         Ok(MarkerSource {
             markers: outcome.markers,
             degenerate_cov: outcome.degenerate_cov,

@@ -306,6 +306,21 @@ fn exit_codes_dispatch_by_failure_class() {
     let out = spm(&["select", "quake"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
 
+    // 2 = usage: --limit below --ilower, which no interval can meet, in
+    // every command that selects (a limit equal to it still runs).
+    for command in ["select", "partition", "explain"] {
+        let out = spm(&[command, "art", "--limit", "1"]);
+        assert_eq!(out.status.code(), Some(2), "{command}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("--limit 1 is below --ilower 10000"),
+            "{command}: {}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "{command}");
+    }
+    let out = spm(&["select", "art", "--ilower", "50000", "--limit", "50000"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+
     // 3 = I/O: missing file.
     let out = spm(&["replay", "/no/such/trace.bin"]);
     assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));

@@ -1,10 +1,10 @@
 //! The shared error taxonomy of the marker pipeline.
 //!
 //! Every fallible stage has its own error enum ([`ProfileError`] here,
-//! [`ParseError`](crate::text::ParseError) for the text formats,
-//! [`DslError`](spm_ir::DslError) for workload files,
-//! [`RunError`](spm_sim::RunError) for execution,
-//! [`DecodeError`](spm_sim::record::DecodeError) for recorded traces),
+//! [`crate::text::ParseError`] for the text formats,
+//! [`spm_ir::DslError`] for workload files,
+//! [`spm_sim::RunError`] for execution,
+//! [`spm_sim::record::DecodeError`] for recorded traces),
 //! and [`SpmError`] is the umbrella the CLI and other drivers use: one
 //! variant per stage, each carrying enough structured context (path,
 //! workload, byte offset, event index) to localize the failure, and a

@@ -6,7 +6,7 @@
 //! whole trace, then [`select_markers`] once). It works because both
 //! halves of the batch pipeline are already incremental at heart:
 //!
-//! * [`CallLoopGraph`] is built by [`CallLoopProfiler`] one event at a
+//! * [`CallLoopGraph`](crate::CallLoopGraph) is built by [`CallLoopProfiler`] one event at a
 //!   time — there is no end-of-trace fixup; edge statistics (count,
 //!   mean, max, variance) are folded in per traversal.
 //! * [`select_markers`] is a pure function of the graph: re-running it

@@ -13,7 +13,7 @@
 //!   a machine consumer tails a single JSONL file (DESIGN.md §9
 //!   documents the schema; [`jsonl::validate_line`] enforces it).
 //! * **No dependencies.** Only `std` and `spm-stats` (whose
-//!   [`LogHistogram`](spm_stats::LogHistogram) is the histogram payload).
+//!   [`spm_stats::LogHistogram`] is the histogram payload).
 //!
 //! # Examples
 //!

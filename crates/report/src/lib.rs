@@ -30,7 +30,7 @@
 //! from the `;`-separated frames) next to the span flame, and
 //! [`statflame::folded_lines`] exports either as flamegraph input.
 //!
-//! [`bench`] additionally validates the one bench artifact,
+//! [`bench`](mod@bench) additionally validates the one bench artifact,
 //! `results/BENCH_report.json`, that `all_figures` writes.
 //!
 //! # Example

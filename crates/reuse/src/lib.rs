@@ -19,6 +19,10 @@
 //!    boundaries and selects high-precision/high-recall blocks as the
 //!    *data reuse markers* driving cache reconfiguration.
 //!
+//! The analysis runs at one parameter set, fixed in [`locality`]; the
+//! only knob is the signal window, [`ReuseSignalCollector::new`]'s
+//! argument.
+//!
 //! Two companions round the crate out: [`ReuseTracker::miss_ratio_curve`]
 //! derives fully-associative LRU miss-ratio curves from the stack
 //! distances (what the paper's Cheetah simulator computed), and
@@ -50,6 +54,6 @@ mod tracker;
 
 pub use haar::{detect_boundaries, haar_details};
 pub use hierarchy::{phase_hierarchy, PhaseHierarchy, SuperPhase};
-pub use locality::{LocalityAnalysis, LocalityConfig, ReuseMarkerRuntime, ReuseSignalCollector};
+pub use locality::{LocalityAnalysis, ReuseMarkerRuntime, ReuseSignalCollector};
 pub use sequitur::{Grammar, Sequitur};
 pub use tracker::ReuseTracker;

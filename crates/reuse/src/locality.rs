@@ -10,38 +10,23 @@ use spm_ir::BlockId;
 use spm_sim::{FastMap, Reads, TraceEvent, TraceObserver};
 use std::collections::HashMap;
 
-/// Parameters of the locality-phase analysis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalityConfig {
-    /// Data accesses per signal window.
-    pub window_accesses: usize,
-    /// Minimum fraction of a block's executions that must coincide with
-    /// boundaries for the block to qualify as a marker.
-    pub min_precision: f64,
-    /// Minimum fraction of boundaries a marker block must cover.
-    pub min_recall: f64,
-    /// Matching tolerance around a boundary, in instructions.
-    pub tolerance_instrs: u64,
-    /// Maximum Sequitur compression ratio of the phase-segment sequence
-    /// for the program to count as "having structure"; irregular
-    /// programs (the paper's gcc/vortex) exceed it and get no markers.
-    pub max_regularity_ratio: f64,
-    /// Quantization levels for segment signal values.
-    pub quant_levels: usize,
-}
+/// Minimum fraction of a block's executions that must coincide with
+/// boundaries for the block to qualify as a marker.
+const MIN_PRECISION: f64 = 0.6;
 
-impl Default for LocalityConfig {
-    fn default() -> Self {
-        Self {
-            window_accesses: 512,
-            min_precision: 0.6,
-            min_recall: 0.3,
-            tolerance_instrs: 4_096,
-            max_regularity_ratio: 0.75,
-            quant_levels: 4,
-        }
-    }
-}
+/// Minimum fraction of boundaries a marker block must cover.
+const MIN_RECALL: f64 = 0.3;
+
+/// Matching tolerance around a boundary, in instructions.
+const TOLERANCE_INSTRS: u64 = 4_096;
+
+/// Maximum Sequitur compression ratio of the phase-segment sequence for
+/// the program to count as "having structure"; irregular programs (the
+/// paper's gcc/vortex) exceed it and get no markers.
+const MAX_REGULARITY_RATIO: f64 = 0.75;
+
+/// Quantization levels for segment signal values.
+const QUANT_LEVELS: usize = 4;
 
 /// Trace observer producing (a) the windowed reuse-distance signal and
 /// (b) the log of basic-block executions, from one profiling run.
@@ -152,14 +137,14 @@ impl LocalityAnalysis {
     /// # Examples
     ///
     /// ```
-    /// use spm_reuse::{LocalityAnalysis, LocalityConfig, ReuseSignalCollector};
+    /// use spm_reuse::{LocalityAnalysis, ReuseSignalCollector};
     ///
     /// // An empty profile has no structure to find.
     /// let collector = ReuseSignalCollector::new(512);
-    /// let analysis = LocalityAnalysis::analyze(&collector, &LocalityConfig::default());
+    /// let analysis = LocalityAnalysis::analyze(&collector);
     /// assert!(!analysis.found_structure);
     /// ```
-    pub fn analyze(collector: &ReuseSignalCollector, config: &LocalityConfig) -> Self {
+    pub fn analyze(collector: &ReuseSignalCollector) -> Self {
         let signal: Vec<f64> = collector.windows.iter().map(|w| w.1).collect();
         let boundary_windows = detect_boundaries(&signal);
         let boundaries: Vec<u64> = boundary_windows
@@ -170,8 +155,8 @@ impl LocalityAnalysis {
         // Regularity: quantize the signal level of each boundary-to-
         // boundary segment and compress the symbol sequence with
         // Sequitur, as Shen et al. compress the filtered trace.
-        let regularity = segment_regularity(&signal, &boundary_windows, config.quant_levels);
-        let found_structure = !boundaries.is_empty() && regularity <= config.max_regularity_ratio;
+        let regularity = segment_regularity(&signal, &boundary_windows);
+        let found_structure = !boundaries.is_empty() && regularity <= MAX_REGULARITY_RATIO;
         if !found_structure {
             return Self {
                 boundaries,
@@ -181,7 +166,7 @@ impl LocalityAnalysis {
             };
         }
 
-        let markers = select_marker_blocks(collector, &boundaries, config);
+        let markers = select_marker_blocks(collector, &boundaries);
         let found_structure = !markers.is_empty();
         Self {
             boundaries,
@@ -198,7 +183,7 @@ impl LocalityAnalysis {
 /// repeating symbol patterns that compress; programs with erratic
 /// working sets or phase lengths do not (Shen et al.'s regular
 /// expressions over phase patterns play the same role).
-fn segment_regularity(signal: &[f64], boundary_windows: &[usize], levels: usize) -> f64 {
+fn segment_regularity(signal: &[f64], boundary_windows: &[usize]) -> f64 {
     if signal.is_empty() {
         return 1.0;
     }
@@ -220,7 +205,7 @@ fn segment_regularity(signal: &[f64], boundary_windows: &[usize], levels: usize)
             (lo.min(x), hi.max(x))
         });
     let span = (hi - lo).max(1e-9);
-    let levels = levels.max(2) as f64;
+    let levels = QUANT_LEVELS as f64;
     let mut lens: Vec<usize> = segments.iter().map(|&(_, l)| l).collect();
     lens.sort_unstable();
     let median_len = lens[lens.len() / 2].max(1) as f64;
@@ -246,11 +231,7 @@ fn segment_regularity(signal: &[f64], boundary_windows: &[usize], levels: usize)
 
 /// Selects blocks whose executions coincide with the boundaries, by
 /// precision and recall, greedily until all boundaries are covered.
-fn select_marker_blocks(
-    collector: &ReuseSignalCollector,
-    boundaries: &[u64],
-    config: &LocalityConfig,
-) -> Vec<BlockId> {
+fn select_marker_blocks(collector: &ReuseSignalCollector, boundaries: &[u64]) -> Vec<BlockId> {
     #[derive(Default, Clone)]
     struct BlockScore {
         total: u64,
@@ -274,8 +255,8 @@ fn select_marker_blocks(
     let mut seg_lens: Vec<u64> = boundaries.windows(2).map(|w| w[1] - w[0]).collect();
     seg_lens.sort_unstable();
     let tol = match seg_lens.get(seg_lens.len() / 2) {
-        Some(&median) => config.tolerance_instrs.max(window_slack).min(median / 4),
-        None => config.tolerance_instrs,
+        Some(&median) => TOLERANCE_INSTRS.max(window_slack).min(median / 4),
+        None => TOLERANCE_INSTRS,
     };
     let mut scores: HashMap<BlockId, BlockScore> = HashMap::new();
     for &(at, block) in &collector.block_execs {
@@ -306,7 +287,7 @@ fn select_marker_blocks(
             let precision = s.matched as f64 / s.total as f64;
             let recall =
                 s.covered.iter().filter(|&&c| c).count() as f64 / boundaries.len().max(1) as f64;
-            (precision >= config.min_precision && recall >= config.min_recall)
+            (precision >= MIN_PRECISION && recall >= MIN_RECALL)
                 .then_some((block, recall, precision))
         })
         .collect();
@@ -472,7 +453,7 @@ mod tests {
     fn regular_program_yields_markers() {
         let program = regular_program();
         let c = collect(&program);
-        let analysis = LocalityAnalysis::analyze(&c, &LocalityConfig::default());
+        let analysis = LocalityAnalysis::analyze(&c);
         assert!(
             analysis.found_structure,
             "regular program must show structure"
@@ -490,7 +471,7 @@ mod tests {
     fn markers_partition_execution_into_phases() {
         let program = regular_program();
         let c = collect(&program);
-        let analysis = LocalityAnalysis::analyze(&c, &LocalityConfig::default());
+        let analysis = LocalityAnalysis::analyze(&c);
         let mut rt = ReuseMarkerRuntime::new(&analysis.markers);
         let summary = run(&program, &Input::new("t", 3), &mut [&mut rt]).unwrap();
         let vlis = partition(rt.firings(), summary.instrs);
@@ -508,7 +489,7 @@ mod tests {
     fn irregular_program_finds_no_stable_markers() {
         let program = irregular_program();
         let c = collect(&program);
-        let analysis = LocalityAnalysis::analyze(&c, &LocalityConfig::default());
+        let analysis = LocalityAnalysis::analyze(&c);
         // The paper: Shen et al. "found it difficult to find structure in
         // more complex programs". Either no structure is declared, or no
         // block passes the precision/recall bar.
@@ -523,7 +504,7 @@ mod tests {
     #[test]
     fn empty_profile_is_handled() {
         let c = ReuseSignalCollector::new(128);
-        let analysis = LocalityAnalysis::analyze(&c, &LocalityConfig::default());
+        let analysis = LocalityAnalysis::analyze(&c);
         assert!(!analysis.found_structure);
         assert!(analysis.markers.is_empty());
         assert!(analysis.boundaries.is_empty());

@@ -7,7 +7,7 @@
 //! also records timing-free load facts: busy retries, reconnects,
 //! skipped (already-accepted) events, and every `DELTA` received.
 
-use crate::proto::{self, DeltaMsg, DoneMsg, Message, WireBlock};
+use crate::proto::{self, DeltaMsg, DoneMsg, Message};
 use crate::ServeError;
 use spm_sim::TraceEvent;
 use std::io::Write;
@@ -17,6 +17,12 @@ use std::time::Duration;
 /// Default per-block pre-encoding budget in bytes (matches the store
 /// writer's default block granularity closely enough for streaming).
 pub const DEFAULT_BLOCK_BUDGET: usize = 64 * 1024;
+
+/// Give up after this many consecutive `BUSY` replies for one block.
+const BUSY_RETRY_LIMIT: u64 = 500;
+
+/// Reconnect at most this many times after a transport failure.
+const RECONNECT_LIMIT: u64 = 4;
 
 /// Deliberate fault injection for resume tests: the client drops its
 /// TCP connection at a chosen point and exercises the reconnect path.
@@ -42,11 +48,6 @@ pub struct SendConfig {
     pub block_budget: usize,
     /// Backoff between `BUSY` retries.
     pub busy_backoff: Duration,
-    /// Give up after this many consecutive `BUSY` replies for one
-    /// block (0 = unlimited).
-    pub busy_retry_limit: u64,
-    /// Reconnect at most this many times after a transport failure.
-    pub reconnect_limit: u64,
     /// Fault injection (tests only; default injects nothing).
     pub fault: SendFaultPlan,
 }
@@ -59,8 +60,6 @@ impl SendConfig {
             session: session.to_string(),
             block_budget: DEFAULT_BLOCK_BUDGET,
             busy_backoff: Duration::from_millis(20),
-            busy_retry_limit: 500,
-            reconnect_limit: 4,
             fault: SendFaultPlan::default(),
         }
     }
@@ -172,7 +171,12 @@ pub fn send_events(
     config: &SendConfig,
     events: &[(u64, TraceEvent)],
 ) -> Result<SendOutcome, ServeError> {
-    let blocks = proto::chunk_events(events, config.block_budget);
+    // Each BLOCK frame is encoded once; BUSY retries and resends
+    // after a reconnect write the same bytes again.
+    let blocks: Vec<_> = proto::chunk_events(events, config.block_budget)
+        .into_iter()
+        .map(|block| (block.meta, proto::encode_message(&Message::Block(block))))
+        .collect();
     let mut outcome = SendOutcome {
         blocks_sent: 0,
         events_sent: 0,
@@ -198,11 +202,11 @@ pub fn send_events(
 
     let mut at = 0usize;
     'blocks: while at < blocks.len() {
-        let block = &blocks[at];
+        let (meta, frame) = &blocks[at];
         // Skip blocks the server already holds (resume after
         // reconnect or across restarts).
-        if block.meta.end_seq() <= conn.watermark {
-            outcome.skipped_events += u64::from(block.meta.events);
+        if meta.end_seq() <= conn.watermark {
+            outcome.skipped_events += u64::from(meta.events);
             at += 1;
             continue;
         }
@@ -220,7 +224,7 @@ pub fn send_events(
         }
         let mut busy = 0u64;
         loop {
-            let sent = send_block(&mut conn, block, &mut outcome.deltas);
+            let sent = send_frame(&mut conn, frame, &mut outcome.deltas);
             match sent {
                 Ok(Reply::Ack { events: watermark }) => {
                     let fresh = watermark.saturating_sub(conn.watermark);
@@ -229,7 +233,7 @@ pub fn send_events(
                         outcome.blocks_sent += 1;
                         outcome.events_sent += fresh;
                     } else {
-                        outcome.skipped_events += u64::from(block.meta.events);
+                        outcome.skipped_events += u64::from(meta.events);
                     }
                     at += 1;
                     break;
@@ -237,7 +241,7 @@ pub fn send_events(
                 Ok(Reply::Busy) => {
                     busy += 1;
                     outcome.busy_retries += 1;
-                    if config.busy_retry_limit > 0 && busy > config.busy_retry_limit {
+                    if busy > BUSY_RETRY_LIMIT {
                         return Err(ServeError::Rejected {
                             code: proto::ErrCode::Internal,
                             detail: format!("server still busy after {busy} retries for one block"),
@@ -251,7 +255,7 @@ pub fn send_events(
                     }
                     .into())
                 }
-                Err(e) if reconnectable(&e) && outcome.reconnects < config.reconnect_limit => {
+                Err(e) if reconnectable(&e) && outcome.reconnects < RECONNECT_LIMIT => {
                     outcome.reconnects += 1;
                     conn = connect(config)?;
                     continue 'blocks;
@@ -288,7 +292,7 @@ pub fn send_events(
                 }
                 .into())
             }
-            Err(e) if reconnectable(&e) && outcome.reconnects < config.reconnect_limit => {
+            Err(e) if reconnectable(&e) && outcome.reconnects < RECONNECT_LIMIT => {
                 outcome.reconnects += 1;
                 conn = connect(config)?;
             }
@@ -297,14 +301,17 @@ pub fn send_events(
     }
 }
 
-fn send_block(
+/// Writes one encoded frame and reads the server's reply to it.
+fn send_frame(
     conn: &mut Conn,
-    block: &WireBlock,
+    frame: &[u8],
     deltas: &mut Vec<DeltaMsg>,
 ) -> Result<Reply, ServeError> {
     {
         let mut writer = &conn.stream;
-        proto::write_message(&mut writer, &Message::Block(block.clone()))?;
+        writer
+            .write_all(frame)
+            .map_err(|e| ServeError::io("write", &e))?;
         writer.flush().map_err(|e| ServeError::io("flush", &e))?;
     }
     read_reply(conn, deltas)

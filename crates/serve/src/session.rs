@@ -185,7 +185,6 @@ pub struct SessionCore {
     config: SessionConfig,
     selector: IncrementalSelector,
     journal: Option<StoreWriter<FileIo>>,
-    journal_path: Option<PathBuf>,
     blocks: u64,
     converged_at: u64,
     /// Deltas of the blocks analyzed since the caller last drained it.
@@ -251,7 +250,6 @@ impl SessionCore {
         let mut selector = IncrementalSelector::new(config.select, config.converge_after);
         let mut blocks = 0u64;
         let mut resumed: Option<Watermark> = None;
-        let mut journal_path = None;
         let journal = if let Some(dir) = &config.dir {
             std::fs::create_dir_all(dir)
                 .map_err(|e| ServeError::io(&dir.display().to_string(), &e))?;
@@ -266,7 +264,6 @@ impl SessionCore {
             let path = dir.join(format!("{name}.g{next}.spmstk"));
             let sink = FileIo::create(&path)
                 .map_err(|e| ServeError::io(&path.display().to_string(), &e))?;
-            journal_path = Some(path);
             Some(
                 StoreWriter::new(sink)
                     .sync_policy(SyncPolicy::Block)
@@ -280,7 +277,6 @@ impl SessionCore {
             config: config.clone(),
             selector,
             journal,
-            journal_path,
             blocks,
             converged_at: 0,
             outbox: Vec::new(),
@@ -386,11 +382,6 @@ impl SessionCore {
             dangling_frames: self.selector.dangling_frames() as u64,
             markers_text,
         })
-    }
-
-    /// The path of the journal generation currently being written.
-    pub fn journal_path(&self) -> Option<&Path> {
-        self.journal_path.as_deref()
     }
 
     /// The current marker set rendered as a `markers v1` file.

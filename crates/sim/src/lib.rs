@@ -21,13 +21,13 @@
 //! words as a run that builds every event.
 //!
 //! The crate also provides the baseline machine model:
-//! [`TimingModel`] (in-order core + DL1, optional IL1/L2, 2-bit branch
-//! predictor) and [`Timeline`], which records cycles/misses/accesses/
-//! branches at a fine granule so that per-interval CPI, miss rates, and
-//! mispredict rates can be queried afterwards for *any* interval
-//! partitioning (fixed-length or variable-length). [`record`] is the
-//! compact byte codec for the event stream; `spm-store` packs it into
-//! durable `spmstk01` trace files that replay without the program.
+//! [`TimingModel`] (in-order core + DL1 + 2-bit branch predictor) and
+//! [`Timeline`], which records cycles/misses/accesses/branches at a
+//! fine granule so that per-interval CPI, miss rates, and mispredict
+//! rates can be queried afterwards for *any* interval partitioning
+//! (fixed-length or variable-length). [`record`] is the compact byte
+//! codec for the event stream; `spm-store` packs it into durable
+//! `spmstk01` trace files that replay without the program.
 //!
 //! # Examples
 //!
@@ -45,7 +45,7 @@
 //! let program = b.build("main").unwrap();
 //! let input = Input::new("ref", 7);
 //!
-//! let mut timeline = Timeline::with_defaults(1000);
+//! let mut timeline = Timeline::new(1000);
 //! let summary = run(&program, &input, &mut [&mut timeline]).unwrap();
 //! assert_eq!(summary.instrs, 50_000);
 //! let cpi = timeline.cpi(0..summary.instrs);
@@ -70,4 +70,4 @@ pub use events::{Reads, TraceEvent, TraceObserver};
 pub use fault::{FaultKind, FaultObserver, SplitMix64, TraceCorruptor};
 pub use hash::{FastMap, FoldHash};
 pub use timeline::{Timeline, TimelineSample};
-pub use timing::{TimingConfig, TimingModel};
+pub use timing::TimingModel;

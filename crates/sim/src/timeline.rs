@@ -11,7 +11,7 @@
 //! the interpolation error is negligible.
 
 use crate::events::{TraceEvent, TraceObserver};
-use crate::timing::{TimingConfig, TimingModel};
+use crate::timing::TimingModel;
 use std::ops::Range;
 
 /// Cumulative machine state at one snapshot boundary.
@@ -55,26 +55,20 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Creates a timeline over a [`TimingModel`] with the given
-    /// configuration.
+    /// Creates a timeline over the baseline [`TimingModel`].
     ///
     /// # Panics
     ///
     /// Panics if `granule` is zero.
-    pub fn new(granule: u64, config: TimingConfig) -> Self {
+    pub fn new(granule: u64) -> Self {
         assert!(granule > 0, "granule must be positive");
         Self {
             granule,
-            timing: TimingModel::new(config),
+            timing: TimingModel::new(),
             samples: vec![TimelineSample::default()],
             next_boundary: granule,
             finished: false,
         }
-    }
-
-    /// Creates a timeline with the default machine configuration.
-    pub fn with_defaults(granule: u64) -> Self {
-        Self::new(granule, TimingConfig::default())
     }
 
     /// The snapshot granule in instructions.
@@ -250,7 +244,7 @@ mod tests {
             });
         });
         let program = b.build("main").unwrap();
-        let mut timeline = Timeline::with_defaults(500);
+        let mut timeline = Timeline::new(500);
         let summary = crate::run(&program, &Input::new("x", 11), &mut [&mut timeline]).unwrap();
         (timeline, summary.instrs)
     }
@@ -317,7 +311,7 @@ mod tests {
             });
         });
         let program = b.build("main").unwrap();
-        let mut timeline = Timeline::with_defaults(500);
+        let mut timeline = Timeline::new(500);
         let total = crate::run(&program, &Input::new("x", 3), &mut [&mut timeline])
             .unwrap()
             .instrs;
@@ -331,6 +325,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "granule must be positive")]
     fn zero_granule_panics() {
-        let _ = Timeline::with_defaults(0);
+        let _ = Timeline::new(0);
     }
 }

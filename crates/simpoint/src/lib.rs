@@ -9,10 +9,11 @@
 //!   interval* mode, where each interval represents a different fraction
 //!   of execution; uniform weights recover SimPoint 2.0),
 //! * [`bic`] — the Bayesian Information Criterion used to choose the
-//!   number of clusters: the smallest `k` scoring at least a fixed
-//!   fraction of the best BIC observed,
-//! * [`pick_simpoints`] — clusters interval vectors, picks one
-//!   representative (simulation point) per cluster, and
+//!   number of clusters: the smallest `k` scoring at least 90% of the
+//!   observed BIC range,
+//! * [`pick_simpoints`] — clusters interval vectors and picks one
+//!   representative (simulation point) per cluster: the median of the
+//!   intervals nearest its centroid, and
 //! * [`estimate`] / [`filter_top`] — whole-program metric estimation
 //!   from the simulation points and the paper's 95%/99% weight filters
 //!   that trade accuracy for simulation time.
@@ -50,4 +51,4 @@ pub use estimate::{
     true_weighted_mean,
 };
 pub use kmeans::{bic, kmeans, Clustering, KmeansError};
-pub use points::{pick_simpoints, ClusterInfo, RepresentativePolicy, SimPointConfig, SimPoints};
+pub use points::{pick_simpoints, ClusterInfo, SimPointConfig, SimPoints};

@@ -3,24 +3,9 @@
 use crate::kmeans::{bic, kmeans, row_width, Clustering, KmeansError};
 use spm_bbv::{euclidean, project};
 
-/// How the simulation point (representative interval) of a cluster is
-/// chosen among the candidates nearest its centroid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RepresentativePolicy {
-    /// The median of the intervals tied for minimum centroid distance —
-    /// avoids systematically picking phase-entry intervals whose
-    /// transient (cold-cache) behaviour misrepresents the phase.
-    MedianNearest,
-    /// The *earliest* interval whose centroid distance is within
-    /// `(1 + slack)` of the minimum: Perelman et al.'s "early and
-    /// statistically valid" simulation points, which minimize the
-    /// fast-forwarding a simulator must do to reach each point.
-    Earliest {
-        /// Allowed relative distance slack over the nearest interval
-        /// (e.g. `0.2`).
-        slack: f64,
-    },
-}
+/// Pick the smallest `k` whose BIC reaches this fraction of the
+/// observed BIC range (SimPoint's default policy).
+const BIC_FRACTION: f64 = 0.9;
 
 /// Configuration of a SimPoint run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,32 +16,12 @@ pub struct SimPointConfig {
     pub dims: usize,
     /// RNG seed for projection and seeding.
     pub seed: u64,
-    /// Pick the smallest `k` whose BIC reaches this fraction of the best
-    /// observed BIC range (SimPoint's default policy, 0.9).
-    pub bic_fraction: f64,
-    /// Simulation-point choice within a cluster.
-    pub policy: RepresentativePolicy,
 }
 
 impl SimPointConfig {
-    /// Creates a configuration with the standard 0.9 BIC fraction and
-    /// the median-nearest representative policy.
+    /// Creates a configuration.
     pub fn new(kmax: usize, dims: usize, seed: u64) -> Self {
-        Self {
-            kmax,
-            dims,
-            seed,
-            bic_fraction: 0.9,
-            policy: RepresentativePolicy::MedianNearest,
-        }
-    }
-
-    /// Switches to early simulation points with the given distance
-    /// slack, builder-style.
-    #[must_use]
-    pub fn early(mut self, slack: f64) -> Self {
-        self.policy = RepresentativePolicy::Earliest { slack };
-        self
+        Self { kmax, dims, seed }
     }
 }
 
@@ -115,7 +80,7 @@ fn k_schedule(kmax: usize, n: usize) -> Vec<usize> {
 /// interval lengths in instructions. The vectors are randomly projected
 /// to `config.dims` dimensions, k-means runs for each candidate `k`, BIC
 /// selects the smallest sufficient `k`, and each cluster's simulation
-/// point is the interval closest to the centroid.
+/// point is the median of the intervals closest to the centroid.
 ///
 /// # Errors
 ///
@@ -155,7 +120,7 @@ pub fn pick_simpoints(
     let threshold = if finite.is_empty() || max_bic == min_bic {
         f64::NEG_INFINITY
     } else {
-        min_bic + config.bic_fraction * (max_bic - min_bic)
+        min_bic + BIC_FRACTION * (max_bic - min_bic)
     };
     // `scored` is in increasing k; pick the smallest k meeting the
     // threshold (with a -inf threshold, that is k = 1).
@@ -183,9 +148,9 @@ pub fn pick_simpoints(
             clusters[c].representative = i;
         }
     }
-    // Resolve the representative among near-minimum candidates per the
-    // configured policy. Ties (clusters of identical vectors are
-    // common) matter: always taking the first occurrence would
+    // The representative is the median of the intervals tied for the
+    // minimum centroid distance. Ties (clusters of identical vectors
+    // are common) matter: always taking the first occurrence would
     // systematically pick phase-*entry* intervals, whose transient
     // microarchitectural behaviour (cold caches) misrepresents the
     // phase.
@@ -193,12 +158,7 @@ pub fn pick_simpoints(
         if info.representative == usize::MAX {
             continue;
         }
-        let limit = match config.policy {
-            RepresentativePolicy::MedianNearest => best_dist[c] + 1e-12,
-            RepresentativePolicy::Earliest { slack } => {
-                best_dist[c] * (1.0 + slack.max(0.0)) + 1e-12
-            }
-        };
+        let limit = best_dist[c] + 1e-12;
         let candidates: Vec<usize> = projected
             .iter()
             .enumerate()
@@ -207,10 +167,7 @@ pub fn pick_simpoints(
             })
             .map(|(i, _)| i)
             .collect();
-        info.representative = match config.policy {
-            RepresentativePolicy::MedianNearest => candidates[candidates.len() / 2],
-            RepresentativePolicy::Earliest { .. } => candidates[0],
-        };
+        info.representative = candidates[candidates.len() / 2];
     }
     // Drop clusters that received no points (possible when k was clamped).
     let mut assignments = clustering.assignments;
@@ -352,53 +309,5 @@ mod tests {
         let weights = vec![1.0; 20];
         let sp = pick_simpoints(&vectors, &weights, &SimPointConfig::new(6, 2, 9)).unwrap();
         assert_eq!(sp.k, 1, "no structure means one phase, got {}", sp.k);
-    }
-}
-
-#[cfg(test)]
-mod early_tests {
-    use super::*;
-
-    #[test]
-    fn earliest_policy_picks_first_qualifying_interval() {
-        // Two clusters; within each, intervals are identical, so the
-        // earliest policy must pick index 0 of each cluster's members
-        // while the median policy picks a middle one.
-        let mut vectors = Vec::new();
-        for i in 0..40 {
-            vectors.push(if i % 2 == 0 {
-                vec![1.0, 0.0]
-            } else {
-                vec![0.0, 1.0]
-            });
-        }
-        let weights = vec![1.0; vectors.len()];
-        let median = pick_simpoints(&vectors, &weights, &SimPointConfig::new(4, 2, 3)).unwrap();
-        let early =
-            pick_simpoints(&vectors, &weights, &SimPointConfig::new(4, 2, 3).early(0.2)).unwrap();
-        let earliest_sum: usize = early.clusters.iter().map(|c| c.representative).sum();
-        let median_sum: usize = median.clusters.iter().map(|c| c.representative).sum();
-        assert!(
-            earliest_sum < median_sum,
-            "early {earliest_sum} !< median {median_sum}"
-        );
-        // The two earliest representatives are the first members of the
-        // two phases: intervals 0 and 1.
-        let mut reps: Vec<usize> = early.clusters.iter().map(|c| c.representative).collect();
-        reps.sort_unstable();
-        assert_eq!(reps, vec![0, 1]);
-    }
-
-    #[test]
-    fn early_slack_never_changes_cluster_membership() {
-        let vectors: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![(i % 3) as f64 * 5.0, ((i * 7) % 5) as f64 * 0.01])
-            .collect();
-        let weights = vec![1.0; vectors.len()];
-        let sp =
-            pick_simpoints(&vectors, &weights, &SimPointConfig::new(5, 2, 9).early(0.5)).unwrap();
-        for (c, info) in sp.clusters.iter().enumerate() {
-            assert_eq!(sp.assignments[info.representative], c);
-        }
     }
 }

@@ -165,8 +165,8 @@ pub enum Compression {
     /// Payloads are stored as encoded (the historical format).
     #[default]
     None,
-    /// Payloads are stored under the zero-dependency LZ codec in
-    /// [`crate::compress`].
+    /// Payloads are stored under the crate's zero-dependency LZ codec
+    /// (`compress.rs`).
     Lz,
 }
 

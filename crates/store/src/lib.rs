@@ -29,7 +29,7 @@
 //!   structured `store/skipped-block` warning; every other block still
 //!   replays (the graceful-degradation contract of the wider pipeline).
 //!
-//! The byte-level layout is specified in [`format`] (and in prose in
+//! The byte-level layout is specified in [`format`](mod@format) (and in prose in
 //! DESIGN.md §11).
 
 // `deny` rather than `forbid`: the one documented exception is the

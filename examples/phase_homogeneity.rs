@@ -31,7 +31,7 @@ fn main() {
 
     // One pass: detect markers and record the metric timeline.
     let mut runtime = MarkerRuntime::new(&markers);
-    let mut timeline = Timeline::with_defaults(1_000);
+    let mut timeline = Timeline::new(1_000);
     let total = {
         let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut runtime, &mut timeline];
         run(&workload.program, &workload.ref_input, &mut observers)

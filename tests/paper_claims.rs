@@ -3,7 +3,7 @@
 
 use spm::core::{partition, select_markers, CallLoopProfiler, MarkerRuntime, SelectConfig};
 use spm::ir::{compile, CompileConfig, Input, Program};
-use spm::reuse::{LocalityAnalysis, LocalityConfig, ReuseSignalCollector};
+use spm::reuse::{LocalityAnalysis, ReuseSignalCollector};
 use spm::sim::{run, Timeline, TraceObserver};
 use spm::stats::{phase_cov, PhaseSample};
 use spm::workloads::build;
@@ -17,7 +17,7 @@ fn profile(program: &Program, input: &Input) -> spm::core::CallLoopGraph {
 fn locality(program: &Program, input: &Input) -> LocalityAnalysis {
     let mut collector = ReuseSignalCollector::new(512);
     run(program, input, &mut [&mut collector]).expect("runs");
-    LocalityAnalysis::analyze(&collector, &LocalityConfig::default())
+    LocalityAnalysis::analyze(&collector)
 }
 
 /// "We show that our approach can find phase behavior in all programs we
@@ -77,7 +77,7 @@ fn per_phase_cov_beats_whole_program_everywhere() {
         )
         .markers;
         let mut rt = MarkerRuntime::new(&markers);
-        let mut tl = Timeline::with_defaults(1_000);
+        let mut tl = Timeline::new(1_000);
         let total = {
             let mut obs: Vec<&mut dyn TraceObserver> = vec![&mut rt, &mut tl];
             run(&w.program, &w.ref_input, &mut obs).unwrap().instrs

@@ -92,7 +92,7 @@ fn vli_simpoints_estimate_cpi() {
             prelude_phase: spm::core::PRELUDE_PHASE,
         },
     );
-    let mut timeline = Timeline::with_defaults(1_000);
+    let mut timeline = Timeline::new(1_000);
     {
         let mut observers: Vec<&mut dyn TraceObserver> = vec![&mut collector, &mut timeline];
         run(&w.program, &w.ref_input, &mut observers).unwrap();
