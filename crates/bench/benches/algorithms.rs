@@ -3,7 +3,7 @@
 //! the simulator's lowered paths, graph construction from a trace,
 //! marker detection, BBV collection,
 //! the two selection passes, Sequitur, reuse-distance tracking,
-//! k-means, and cache simulation.
+//! k-means, cache simulation, and the served layer's frame reading.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -16,6 +16,8 @@ use spm_core::{
     partition, select_markers, CallLoopProfiler, MarkerRuntime, SelectConfig, PRELUDE_PHASE,
 };
 use spm_reuse::{detect_boundaries, sequitur, ReuseTracker};
+use spm_serve::client::DEFAULT_BLOCK_BUDGET;
+use spm_serve::proto::{chunk_events, encode_message, read_message, Message};
 use spm_sim::{run, Reads, TraceEvent, TraceObserver};
 use spm_simpoint::kmeans;
 use spm_store::{StoreReader, StoreWriter};
@@ -279,6 +281,35 @@ fn bench_trace_record_replay(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a server's connection thread does per BLOCK frame: read and
+/// verify the frame, then decode its events, over the frames `spm send`
+/// writes for gzip `ref`.
+fn bench_serve(c: &mut Criterion) {
+    let w = build("gzip").expect("gzip");
+    let mut tape: Vec<(u64, TraceEvent)> = Vec::new();
+    run(&w.program, &w.ref_input, &mut [&mut tape]).unwrap();
+    let frames: Vec<Vec<u8>> = chunk_events(&tape, DEFAULT_BLOCK_BUDGET)
+        .into_iter()
+        .map(|block| encode_message(&Message::Block(block)))
+        .collect();
+    let mut group = c.benchmark_group("serve");
+    group.throughput(Throughput::Elements(tape.len() as u64));
+    group.bench_function("read_block_gzip_ref", |b| {
+        b.iter(|| {
+            let mut events = 0;
+            for frame in &frames {
+                let Ok(Message::Block(block)) = read_message(&mut frame.as_slice()) else {
+                    panic!("a BLOCK frame reads back as a block");
+                };
+                events += block.decode_events().unwrap().len();
+            }
+            assert_eq!(events, tape.len());
+            events
+        })
+    });
+    group.finish();
+}
+
 fn bench_boundary_detection(c: &mut Criterion) {
     // A realistic phased signal: alternating levels + noise.
     let signal: Vec<f64> = (0..4_000)
@@ -319,6 +350,7 @@ criterion_group!(
         bench_kmeans,
         bench_cache,
         bench_trace_record_replay,
+        bench_serve,
         bench_boundary_detection,
         bench_predictors
 );

@@ -171,7 +171,8 @@ pub fn send_events(
     config: &SendConfig,
     events: &[(u64, TraceEvent)],
 ) -> Result<SendOutcome, ServeError> {
-    // Each BLOCK frame is encoded once; BUSY retries and resends
+    // Each BLOCK frame is encoded once, under the block checksum the
+    // chunking store writer already computed; BUSY retries and resends
     // after a reconnect write the same bytes again.
     let blocks: Vec<_> = proto::chunk_events(events, config.block_budget)
         .into_iter()

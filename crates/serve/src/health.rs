@@ -78,8 +78,9 @@ pub(crate) fn render(shared: &Shared) -> String {
 }
 
 /// Accepts health scrapes until shutdown. Each request is answered
-/// with the current gauges and closed; the request itself is read
-/// (one buffer's worth) and ignored beyond being a `GET`.
+/// with the current gauges and closed. The request is read (one
+/// buffer's worth, waiting at most 200 ms) and never parsed: any bytes,
+/// or none, get the same answer, whatever the method or path.
 pub(crate) fn health_loop(shared: &Shared, listener: &TcpListener) {
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {

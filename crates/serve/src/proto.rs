@@ -9,9 +9,9 @@
 //! `BLOCK` payloads are a 40-byte spmstk01 block frame
 //! ([`BlockMeta::encode_frame`], which embeds its own payload checksum)
 //! followed by the uncompressed event bytes — the store's framing *is*
-//! the wire framing, so the server re-verifies the block with the exact
-//! code path the store reader uses, and a wire block round-trips into
-//! the journal byte-compatibly.
+//! the wire framing, so a wire block round-trips into the journal
+//! byte-compatibly. [`read_message`] verifies both checksums of a
+//! well-formed `BLOCK` in one pass over its event bytes.
 //!
 //! All integers are little-endian. Frames are bounded by
 //! [`MAX_PAYLOAD`]; a declared length beyond it is rejected before any
@@ -20,7 +20,7 @@
 
 use spm_core::Marker;
 use spm_sim::{TraceEvent, TraceObserver};
-use spm_store::format::{fnv1a64, BlockMeta, FRAME_LEN};
+use spm_store::format::{fnv1a64, fnv1a64_lanes, BlockMeta, FNV_OFFSET, FRAME_LEN};
 use spm_store::{Compression, StoreWriter};
 use std::fmt;
 use std::io::{Read, Write};
@@ -220,16 +220,33 @@ impl ProtoError {
 }
 
 /// One spmstk01 block as carried on the wire: the frame metadata plus
-/// the *encoded* (uncompressed) event payload.
+/// the *encoded* (uncompressed) event payload and its checksum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireBlock {
     /// Block metadata (`offset` is meaningless on the wire and held 0).
     pub meta: BlockMeta,
     /// Encoded event bytes (the store's delta-varint payload encoding).
-    pub payload: Vec<u8>,
+    payload: Vec<u8>,
+    /// `fnv1a64(payload)`, the block checksum its frame carries.
+    checksum: u64,
 }
 
 impl WireBlock {
+    /// A block of `payload` under `meta`, checksummed here.
+    pub fn new(meta: BlockMeta, payload: Vec<u8>) -> Self {
+        let checksum = fnv1a64(&payload);
+        Self {
+            meta,
+            payload,
+            checksum,
+        }
+    }
+
+    /// The encoded event bytes.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
     /// Decodes the payload into `(icount, event)` pairs with the store
     /// reader's own block decoder ([`spm_store::decode_block`]): deltas
     /// accumulate from `meta.start_icount`, and the event count and end
@@ -464,7 +481,7 @@ impl Message {
                 out.push(u8::from(*resumed));
             }
             Message::Block(block) => {
-                block.meta.encode_frame(fnv1a64(&block.payload), out);
+                block.meta.encode_frame(block.checksum, out);
                 out.extend_from_slice(&block.payload);
             }
             Message::Ack { events } => push_u64(out, *events),
@@ -543,7 +560,11 @@ impl Message {
                 if actual != declared {
                     return Err(ProtoError::ChecksumMismatch { declared, actual });
                 }
-                Message::Block(WireBlock { meta, payload })
+                Message::Block(WireBlock {
+                    meta,
+                    payload,
+                    checksum: actual,
+                })
             }
             tag::ACK => Message::Ack { events: c.u64()? },
             tag::BUSY => Message::Busy {
@@ -640,6 +661,16 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> Result<(), ServeErro
 /// context `read/eof`, so callers can distinguish "peer went away"
 /// (reconnectable) from a malformed frame (fatal).
 ///
+/// A `BLOCK` whose frame header declares exactly the event bytes that
+/// follow it is read with its event bytes apart from the header, and
+/// both checksums run as two lanes of one pass over those bytes: the
+/// message checksum continues the hash of the header, the block
+/// checksum starts afresh. The message checksum is still checked
+/// first, and the event bytes become the [`WireBlock`]'s payload
+/// uncopied. Any other shape of `BLOCK` is rejoined and decoded like
+/// every other message, so each error is the one a two-pass decode
+/// gives.
+///
 /// # Errors
 ///
 /// [`ServeError::Io`] on transport failure, [`ServeError::Proto`] when
@@ -668,16 +699,71 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<Message, ServeError> {
     if len > MAX_PAYLOAD {
         return Err(ProtoError::TooLarge { len: len as u64 }.into());
     }
+    if tag_byte == tag::BLOCK && len >= FRAME_LEN {
+        let mut frame = [0u8; FRAME_LEN];
+        read_exact(r, &mut frame)?;
+        let mut payload = vec![0u8; len - FRAME_LEN];
+        read_exact(r, &mut payload)?;
+        let declared = read_checksum(r)?;
+        return Ok(verify_block(frame, payload, declared)?);
+    }
     let mut payload = vec![0u8; len];
     read_exact(r, &mut payload)?;
+    let declared = read_checksum(r)?;
+    Ok(verify_and_decode(tag_byte, &payload, declared)?)
+}
+
+/// Checks a message payload against its declared checksum, then
+/// parses it.
+fn verify_and_decode(tag_byte: u8, payload: &[u8], declared: u64) -> Result<Message, ProtoError> {
+    let actual = fnv1a64(payload);
+    if declared != actual {
+        return Err(ProtoError::ChecksumMismatch { declared, actual });
+    }
+    Message::decode_payload(tag_byte, payload)
+}
+
+/// Verifies a `BLOCK` read as its 40-byte `frame` and the `payload`
+/// bytes after it, against the message checksum `declared`; see
+/// [`read_message`].
+fn verify_block(
+    frame: [u8; FRAME_LEN],
+    payload: Vec<u8>,
+    declared: u64,
+) -> Result<Message, ProtoError> {
+    let (meta, block_declared) = match BlockMeta::decode_frame(&frame, 0) {
+        Ok((meta, block_declared)) if meta.payload_len as usize == payload.len() => {
+            (meta, block_declared)
+        }
+        _ => {
+            let mut whole = frame.to_vec();
+            whole.extend_from_slice(&payload);
+            return verify_and_decode(tag::BLOCK, &whole, declared);
+        }
+    };
+    let [actual, block_actual] =
+        fnv1a64_lanes([(fnv1a64(&frame), &payload[..]), (FNV_OFFSET, &payload[..])]);
+    if actual != declared {
+        return Err(ProtoError::ChecksumMismatch { declared, actual });
+    }
+    if block_actual != block_declared {
+        return Err(ProtoError::ChecksumMismatch {
+            declared: block_declared,
+            actual: block_actual,
+        });
+    }
+    Ok(Message::Block(WireBlock {
+        meta,
+        payload,
+        checksum: block_actual,
+    }))
+}
+
+/// Reads the 8-byte message checksum that ends every frame.
+fn read_checksum<R: Read>(r: &mut R) -> Result<u64, ServeError> {
     let mut checksum = [0u8; 8];
     read_exact(r, &mut checksum)?;
-    let declared = u64::from_le_bytes(checksum);
-    let actual = fnv1a64(&payload);
-    if declared != actual {
-        return Err(ProtoError::ChecksumMismatch { declared, actual }.into());
-    }
-    Ok(Message::decode_payload(tag_byte, &payload)?)
+    Ok(u64::from_le_bytes(checksum))
 }
 
 fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), ServeError> {
@@ -696,8 +782,9 @@ fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), ServeError> {
 /// Chunks an in-memory event stream into wire blocks with the store
 /// writer itself: the events are packed into an in-memory container
 /// with a `budget`-byte block budget (at least 64, the writer's floor)
-/// and each block's payload is sliced out of it. Wire blocks are
-/// therefore exactly the blocks `spm pack` would write.
+/// and each block's payload is sliced out of it, under the checksum
+/// the writer put in its frame. Wire blocks are therefore exactly the
+/// blocks `spm pack` would write.
 pub fn chunk_events(events: &[(u64, TraceEvent)], budget: usize) -> Vec<WireBlock> {
     let mut bytes = Vec::new();
     let mut writer = StoreWriter::with_block_budget(&mut bytes, budget);
@@ -708,9 +795,13 @@ pub fn chunk_events(events: &[(u64, TraceEvent)], budget: usize) -> Vec<WireBloc
         .into_iter()
         .map(|meta| {
             let at = meta.offset as usize + FRAME_LEN;
+            // The frame header ends in the payload checksum.
+            let mut checksum = [0u8; 8];
+            checksum.copy_from_slice(&bytes[at - 8..at]);
             WireBlock {
                 payload: bytes[at..at + meta.payload_len as usize].to_vec(),
                 meta: BlockMeta { offset: 0, ..meta },
+                checksum: u64::from_le_bytes(checksum),
             }
         })
         .collect()
@@ -816,7 +907,16 @@ mod tests {
         for (block, meta) in blocks.iter().zip(reader.index()) {
             assert_eq!(block.meta, BlockMeta { offset: 0, ..*meta });
             let at = meta.offset as usize + FRAME_LEN;
-            assert_eq!(block.payload, bytes[at..at + meta.payload_len as usize]);
+            assert_eq!(block.payload(), &bytes[at..at + meta.payload_len as usize]);
+            // The frame bytes a chunked block encodes to are those of
+            // the same block checksummed afresh.
+            assert_eq!(
+                encode_message(&Message::Block(block.clone())),
+                encode_message(&Message::Block(WireBlock::new(
+                    block.meta,
+                    block.payload().to_vec()
+                )))
+            );
         }
     }
 
@@ -912,8 +1012,181 @@ mod tests {
         bytes
     }
 
+    /// The two-pass decode `read_message` replaced, kept as its oracle:
+    /// the message checksum over the whole message payload, then the
+    /// `BLOCK`'s frame decode and block checksum over a copy of its
+    /// event bytes. Other tags parse as they always did.
+    fn two_pass_read(bytes: &[u8]) -> Result<Message, ServeError> {
+        if bytes.is_empty() {
+            return Err(ServeError::Io {
+                context: "read/eof".into(),
+                message: "connection closed".into(),
+            });
+        }
+        let header = bytes.get(..5).ok_or(ProtoError::Truncated)?;
+        let tag_byte = header[0];
+        let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
+        if len > MAX_PAYLOAD {
+            return Err(ProtoError::TooLarge { len: len as u64 }.into());
+        }
+        let payload = bytes.get(5..5 + len).ok_or(ProtoError::Truncated)?;
+        let checksum = bytes.get(5 + len..13 + len).ok_or(ProtoError::Truncated)?;
+        let declared = u64::from_le_bytes(checksum.try_into().unwrap());
+        let actual = fnv1a64(payload);
+        if declared != actual {
+            return Err(ProtoError::ChecksumMismatch { declared, actual }.into());
+        }
+        if tag_byte != tag::BLOCK {
+            return Ok(Message::decode_payload(tag_byte, payload)?);
+        }
+        let mut c = Cursor::new(payload);
+        let frame = c.take(FRAME_LEN)?;
+        let (meta, declared) =
+            BlockMeta::decode_frame(frame, 0).map_err(|e| ProtoError::BadFrame {
+                detail: e.to_string(),
+            })?;
+        let payload = c.take(meta.payload_len as usize)?.to_vec();
+        let actual = fnv1a64(&payload);
+        if actual != declared {
+            return Err(ProtoError::ChecksumMismatch { declared, actual }.into());
+        }
+        c.finish()?;
+        Ok(Message::Block(WireBlock::new(meta, payload)))
+    }
+
+    /// Encoded BLOCK frames of genuine blocks: one large block, and
+    /// the small ones a 64-byte budget cuts.
+    fn genuine_blocks() -> Vec<Vec<u8>> {
+        [1 << 20, 64]
+            .into_iter()
+            .flat_map(|budget| chunk_events(&events(), budget))
+            .map(|block| encode_message(&Message::Block(block)))
+            .collect()
+    }
+
+    /// Rewrites the message checksum of a frame so that it matches the
+    /// (possibly altered) payload its length field covers; a frame too
+    /// short for its declared length is left as it is.
+    fn fix_message_checksum(bytes: &mut [u8]) {
+        let len = u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]) as usize;
+        if let Some(payload) = bytes.get(5..5 + len) {
+            let fixed = fnv1a64(payload).to_le_bytes();
+            if let Some(slot) = bytes.get_mut(5 + len..13 + len) {
+                slot.copy_from_slice(&fixed);
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_with_both_checksums_wrong_reports_the_message_checksum() {
+        let mut corrupt =
+            encode_message(&Message::Block(chunk_events(&events(), 1 << 20).remove(0)));
+        corrupt[5 + FRAME_LEN + 3] ^= 0x40;
+        let len = corrupt.len() - 13;
+        let declared = u64::from_le_bytes(corrupt[5 + len..].try_into().unwrap());
+        let actual = fnv1a64(&corrupt[5..5 + len]);
+        assert_ne!(declared, actual);
+        let expected = Err(ServeError::Proto(ProtoError::ChecksumMismatch {
+            declared,
+            actual,
+        }));
+        assert_eq!(read_message(&mut &corrupt[..]), expected);
+        assert_eq!(two_pass_read(&corrupt), expected);
+    }
+
+    #[test]
+    fn every_genuine_block_reads_as_the_two_pass_decode_does() {
+        for bytes in genuine_blocks() {
+            let read = read_message(&mut &bytes[..]);
+            assert!(matches!(read, Ok(Message::Block(_))), "{read:?}");
+            assert_eq!(read, two_pass_read(&bytes));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `read_message` returns what the two-pass decode returns —
+        /// the same message or the same typed error — on arbitrary
+        /// bytes, raw or framed as any message.
+        #[test]
+        fn arbitrary_frames_read_as_the_two_pass_decode_does(
+            bytes in vec(any::<u8>(), 0..160),
+            tag_byte in 0u8..12,
+        ) {
+            for input in [bytes.clone(), framed(tag_byte, &bytes), framed(tag::BLOCK, &bytes)] {
+                prop_assert_eq!(read_message(&mut &input[..]), two_pass_read(&input));
+            }
+        }
+
+        /// Genuine BLOCK frames with one byte flipped in one region —
+        /// tag, length, frame header, event bytes, the block checksum
+        /// (the frame header's last 8 bytes) or the message checksum —
+        /// with the message checksum left stale or rewritten to match,
+        /// read as the two-pass decode reads them.
+        #[test]
+        fn flipped_block_frames_read_as_the_two_pass_decode_does(
+            which in any::<usize>(),
+            region in 0usize..6,
+            at in any::<usize>(),
+            mask in 1u8..=255,
+            fix in any::<bool>(),
+        ) {
+            let blocks = genuine_blocks();
+            let mut bytes = blocks[which % blocks.len()].clone();
+            let len = bytes.len() - 13;
+            let range = match region {
+                0 => 0..1,
+                1 => 1..5,
+                2 => 5..5 + FRAME_LEN - 8,
+                3 => 5 + FRAME_LEN..5 + len,
+                4 => 5 + FRAME_LEN - 8..5 + FRAME_LEN,
+                _ => 5 + len..13 + len,
+            };
+            if range.is_empty() {
+                return Ok(());
+            }
+            bytes[range.start + at % range.len()] ^= mask;
+            if fix && region != 5 {
+                fix_message_checksum(&mut bytes);
+            }
+            prop_assert_eq!(read_message(&mut &bytes[..]), two_pass_read(&bytes));
+        }
+
+        /// Genuine BLOCK frames cut short, followed by bytes of the
+        /// next frame, or whose frame header declares one event byte
+        /// more or fewer than follow it (checksum stale or rewritten),
+        /// read as the two-pass decode reads them.
+        #[test]
+        fn reshaped_block_frames_read_as_the_two_pass_decode_does(
+            which in any::<usize>(),
+            cut in any::<usize>(),
+            tail in vec(any::<u8>(), 1..16),
+            longer in any::<bool>(),
+            fix in any::<bool>(),
+        ) {
+            let blocks = genuine_blocks();
+            let bytes = &blocks[which % blocks.len()];
+            let short = &bytes[..cut % bytes.len()];
+            prop_assert_eq!(read_message(&mut &short[..]), two_pass_read(short));
+
+            let mut followed = bytes.clone();
+            followed.extend_from_slice(&tail);
+            prop_assert_eq!(read_message(&mut &followed[..]), two_pass_read(&followed));
+
+            let mut misdeclared = bytes.clone();
+            let declared = u32::from_le_bytes(misdeclared[5..9].try_into().unwrap());
+            let declared = if longer {
+                declared.wrapping_add(1)
+            } else {
+                declared.wrapping_sub(1)
+            };
+            misdeclared[5..9].copy_from_slice(&declared.to_le_bytes());
+            if fix {
+                fix_message_checksum(&mut misdeclared);
+            }
+            prop_assert_eq!(read_message(&mut &misdeclared[..]), two_pass_read(&misdeclared));
+        }
 
         /// Arbitrary bytes, raw or under a valid frame header and
         /// checksum, decode to a message or a typed error.
@@ -942,7 +1215,7 @@ mod tests {
             genuine in any::<bool>(),
         ) {
             let payload = if genuine {
-                chunk_events(&events(), 1 << 20).remove(0).payload
+                chunk_events(&events(), 1 << 20).remove(0).payload().to_vec()
             } else {
                 junk
             };
@@ -954,7 +1227,7 @@ mod tests {
                 events: declared,
                 payload_len: payload.len() as u32,
             };
-            let bytes = encode_message(&Message::Block(WireBlock { meta, payload }));
+            let bytes = encode_message(&Message::Block(WireBlock::new(meta, payload)));
             let Ok(Message::Block(block)) = read_message(&mut &bytes[..]) else {
                 return Err(TestCaseError("a checksummed BLOCK must frame-decode".into()));
             };

@@ -448,10 +448,7 @@ fn hostile_block_headers_get_typed_errors_not_an_abort() {
             other => panic!("expected a fresh WELCOME, got {other:?}"),
         }
         // 53 bytes, every checksum valid.
-        let frame = proto::encode_message(&Message::Block(proto::WireBlock {
-            meta,
-            payload: Vec::new(),
-        }));
+        let frame = proto::encode_message(&Message::Block(proto::WireBlock::new(meta, Vec::new())));
         assert_eq!(frame.len(), 53);
         w.write_all(&frame).unwrap();
         match proto::read_message(&mut r).unwrap() {

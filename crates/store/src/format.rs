@@ -208,7 +208,10 @@ impl std::fmt::Display for Compression {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a-64 offset basis: the state of a hash that has read no
+/// bytes, where a lane of [`fnv1a64_lanes`] starts to hash its bytes
+/// on their own.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Continues an FNV-1a-64 hash `h` over `bytes`.
@@ -227,26 +230,32 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_from(FNV_OFFSET, bytes)
 }
 
-/// [`fnv1a64`] of four byte slices at once, lane for lane bit-identical
-/// to four separate calls.
+/// `N` FNV-1a-64 hashes at once: lane `i` continues the hash state
+/// `start` over its `bytes`, so a lane that starts at [`FNV_OFFSET`]
+/// yields [`fnv1a64`]`(bytes)` and one that starts at `fnv1a64(head)`
+/// yields `fnv1a64(head ++ bytes)`, bit for bit.
 ///
 /// FNV-1a is one serial multiply chain per input, so a single hash
-/// runs at the multiplier's latency. The four chains here are
-/// independent and interleaved byte by byte over the length the lanes
-/// share, which keeps four multiplies in flight; each lane's remaining
-/// bytes then finish alone. Block verification hashes payloads four at
-/// a time through this.
-pub(crate) fn fnv1a64x4(lanes: [&[u8]; 4]) -> [u64; 4] {
-    let shared = lanes.iter().map(|lane| lane.len()).min().unwrap_or(0);
-    let [a, b, c, d] = lanes.map(|lane| &lane[..shared]);
-    let mut h = [FNV_OFFSET; 4];
-    for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
-        h[0] = (h[0] ^ u64::from(x0)).wrapping_mul(FNV_PRIME);
-        h[1] = (h[1] ^ u64::from(x1)).wrapping_mul(FNV_PRIME);
-        h[2] = (h[2] ^ u64::from(x2)).wrapping_mul(FNV_PRIME);
-        h[3] = (h[3] ^ u64::from(x3)).wrapping_mul(FNV_PRIME);
+/// runs at the multiplier's latency. The chains here are independent
+/// and interleaved byte by byte over the length the lanes share, which
+/// keeps `N` multiplies in flight; each lane's remaining bytes then
+/// finish alone. Store replay verifies four block payloads per pass;
+/// `spm-serve` checks a BLOCK frame's message and block checksums in
+/// one pass over its payload.
+pub fn fnv1a64_lanes<const N: usize>(lanes: [(u64, &[u8]); N]) -> [u64; N] {
+    let shared = lanes
+        .iter()
+        .map(|(_, bytes)| bytes.len())
+        .min()
+        .unwrap_or(0);
+    let mut h = lanes.map(|(start, _)| start);
+    let heads = lanes.map(|(_, bytes)| &bytes[..shared]);
+    for at in 0..shared {
+        for (h, head) in h.iter_mut().zip(heads) {
+            *h = (*h ^ u64::from(head[at])).wrapping_mul(FNV_PRIME);
+        }
     }
-    std::array::from_fn(|i| fnv1a64_from(h[i], &lanes[i][shared..]))
+    std::array::from_fn(|i| fnv1a64_from(h[i], &lanes[i].1[shared..]))
 }
 
 /// Reads a little-endian `u64` at `at`, or a typed truncation error if
@@ -500,7 +509,12 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(
-            fnv1a64x4([b"a", b"", b"a", b""]),
+            fnv1a64_lanes([
+                (FNV_OFFSET, b"a"),
+                (FNV_OFFSET, b""),
+                (FNV_OFFSET, b"a"),
+                (FNV_OFFSET, b"")
+            ]),
             [
                 0xaf63_dc4c_8601_ec8c,
                 0xcbf2_9ce4_8422_2325,
@@ -528,10 +542,31 @@ mod tests {
             if let Some(lane) = lanes.get_mut(empty) {
                 lane.clear();
             }
-            let hashed = fnv1a64x4([&lanes[0], &lanes[1], &lanes[2], &lanes[3]]);
+            let hashed = fnv1a64_lanes([
+                (FNV_OFFSET, &lanes[0][..]),
+                (FNV_OFFSET, &lanes[1][..]),
+                (FNV_OFFSET, &lanes[2][..]),
+                (FNV_OFFSET, &lanes[3][..]),
+            ]);
             for (lane, hash) in lanes.iter().zip(hashed) {
                 prop_assert_eq!(hash, fnv1a64(lane));
             }
+        }
+
+        /// A lane that starts from the hash of a head continues it: the
+        /// result is the hash of head and lane bytes together, whatever
+        /// the other lane holds.
+        #[test]
+        fn a_started_lane_continues_its_head(
+            head in proptest::collection::vec(any::<u8>(), 0..48),
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            other in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let whole: Vec<u8> = head.iter().chain(&bytes).copied().collect();
+            let [continued, alone] =
+                fnv1a64_lanes([(fnv1a64(&head), &bytes[..]), (FNV_OFFSET, &other[..])]);
+            prop_assert_eq!(continued, fnv1a64(&whole));
+            prop_assert_eq!(alone, fnv1a64(&other));
         }
     }
 }

@@ -11,8 +11,9 @@
 //! accessor, so hostile bytes produce typed errors, never panics.
 
 use crate::format::{
-    fnv1a64, fnv1a64x4, BlockMeta, Compression, Footer, SyncPolicy, COMPRESSION_OFFSET, FOOTER_LEN,
-    FRAME_LEN, HEADER_LEN, INDEX_ENTRY_LEN, MAGIC, MAGIC_PREFIX, SYNC_POLICY_OFFSET,
+    fnv1a64, fnv1a64_lanes, BlockMeta, Compression, Footer, SyncPolicy, COMPRESSION_OFFSET,
+    FNV_OFFSET, FOOTER_LEN, FRAME_LEN, HEADER_LEN, INDEX_ENTRY_LEN, MAGIC, MAGIC_PREFIX,
+    SYNC_POLICY_OFFSET,
 };
 use crate::mmap::Mmap;
 use crate::StoreError;
@@ -21,7 +22,7 @@ use spm_sim::{TraceEvent, TraceObserver};
 use std::path::Path;
 
 /// Blocks verified together by replay: their payload checksums run as
-/// the interleaved lanes of one [`fnv1a64x4`] pass.
+/// the interleaved lanes of one [`fnv1a64_lanes`] pass.
 const LANES: usize = 4;
 
 /// Container-level facts from the header and footer.
@@ -448,7 +449,7 @@ fn verified_payload(data: &[u8], meta: BlockMeta) -> Result<&[u8], DecodeError> 
 /// Verifies up to [`LANES`] blocks, returning one result per meta in
 /// order (lanes past `metas.len()` hold an empty `Ok`). Each frame is
 /// checked against its meta first; the payloads that pass are then
-/// hashed together as the lanes of one [`fnv1a64x4`] pass, and each
+/// hashed together as the lanes of one [`fnv1a64_lanes`] pass, and each
 /// is held to its own frame's checksum, so one bad block fails alone.
 fn verified_payloads<'a>(
     data: &'a [u8],
@@ -463,7 +464,7 @@ fn verified_payloads<'a>(
             payload
         });
     }
-    let actual = fnv1a64x4(verified.map(|lane| lane.unwrap_or_default()));
+    let actual = fnv1a64_lanes(verified.map(|lane| (FNV_OFFSET, lane.unwrap_or_default())));
     for ((slot, expected), actual) in verified
         .iter_mut()
         .zip(declared)
